@@ -20,9 +20,15 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Worker count: `COMPVIEW_THREADS` if set and positive, else the
 /// machine's available parallelism, else 1.
+///
+/// The variable is read on every call, so it can be changed at run time
+/// (the determinism tests sweep it).  The fallback is probed once per
+/// process: `available_parallelism` reads cgroup files on Linux, which
+/// costs more than many of the loops this sizes.
 pub fn num_threads() -> usize {
     if let Ok(v) = std::env::var("COMPVIEW_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -31,9 +37,12 @@ pub fn num_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static FALLBACK: OnceLock<usize> = OnceLock::new();
+    *FALLBACK.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Split `0..n` into at most `threads` contiguous, near-equal shards.
@@ -104,59 +113,6 @@ where
             });
         }
     });
-}
-
-/// Run `f(i, &mut items[i])` for every item, sharding the slice across
-/// threads, and collect the per-item results **in index order**.
-///
-/// Each item is visited exactly once by exactly one thread, so `f` may
-/// mutate its item freely; provided `f(i, item)` depends only on `(i,
-/// item)`, both the final slice contents and the returned vector are
-/// identical for every thread count.  Runs inline when one shard suffices.
-///
-/// This is the worker pool of `compview-session`'s batch dispatcher:
-/// sessions are independent `&mut` items, and each serves its own request
-/// queue in order on one worker.
-pub fn sharded_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let parts = shards(n, threads);
-    if parts.len() <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(parts.len());
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut handles = Vec::with_capacity(parts.len());
-        for r in &parts {
-            let (head, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            let start = r.start;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                head.iter_mut()
-                    .enumerate()
-                    .map(|(i, item)| f(start + i, item))
-                    .collect::<Vec<R>>()
-            }));
-        }
-        for h in handles {
-            chunks.push(h.join().expect("sharded_map_mut worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for c in chunks {
-        out.extend(c);
-    }
-    out
 }
 
 /// Find the **lowest** `i` in `0..n` with `f(i) = Some(r)`, in parallel,
@@ -261,19 +217,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_map_mut_mutates_and_collects_in_order() {
-        let reference: Vec<usize> = (0..100).map(|i| i * 3).collect();
-        for t in [1usize, 2, 3, 8, 17] {
-            let mut items: Vec<usize> = (0..100).collect();
-            let out = sharded_map_mut(&mut items, t, |i, x| {
-                *x *= 3;
-                i * 3
-            });
-            assert_eq!(items, reference);
-            assert_eq!(out, reference);
+    fn num_threads_override_beats_cached_fallback() {
+        let saved = std::env::var("COMPVIEW_THREADS").ok();
+        let fallback = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::env::remove_var("COMPVIEW_THREADS");
+        assert_eq!(num_threads(), fallback, "unset: the (now cached) fallback");
+        std::env::set_var("COMPVIEW_THREADS", (fallback + 3).to_string());
+        assert_eq!(
+            num_threads(),
+            fallback + 3,
+            "an override set after caching wins"
+        );
+        std::env::set_var("COMPVIEW_THREADS", "0");
+        assert_eq!(
+            num_threads(),
+            fallback,
+            "a non-positive override is ignored"
+        );
+        std::env::remove_var("COMPVIEW_THREADS");
+        assert_eq!(num_threads(), fallback, "removing the override restores it");
+        if let Some(v) = saved {
+            std::env::set_var("COMPVIEW_THREADS", v);
         }
-        // Empty slice.
-        let mut empty: Vec<usize> = Vec::new();
-        assert!(sharded_map_mut(&mut empty, 4, |_, _| 0).is_empty());
     }
 }

@@ -15,13 +15,14 @@
 //! `shard_of(session) % N`, the stable hash partition from
 //! `compview-session`.  Each of the N dispatcher threads owns one
 //! [`Service`] partition; each time it wakes it drains *its whole queue*
-//! as one batch, runs [`Service::dispatch`] (which fans that shard's
-//! sessions across the worker pool and group-commits each touched log
-//! with a single fsync), drains the delta events the batch committed,
-//! and hands both to the per-connection **writer**.  Sessions never move
-//! between shards, so per-session WAL bytes and responses are
-//! byte-identical to a single-dispatcher server — only the parallelism
-//! changes.
+//! as one batch, runs [`Service::dispatch`] on its own thread (each
+//! touched session serves its queue in turn, and each touched log is
+//! group-committed with a single fsync), drains the delta events the
+//! batch committed, and hands both to the per-connection **writer**.
+//! Shards are the parallelism: no batch fans out further.  Sessions
+//! never move between shards, so per-session WAL bytes and responses
+//! are byte-identical to a single-dispatcher server — only the
+//! parallelism changes.
 //!
 //! # Ordering
 //!
@@ -771,8 +772,12 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
         for w in writers {
             let _ = w.join();
         }
-        // …and let every dispatcher drain what is left, then exit.
+        // …and let every dispatcher drain what is left, then exit.  A
+        // dispatcher tests `stop` and starts waiting under its queue
+        // lock, so notifying under that lock reaches every dispatcher:
+        // it has either seen `stop` already or is waiting.
         for sq in &self.shared.shards {
+            let _q = sq.queue.lock().expect("queue");
             sq.wake.notify_all();
         }
         let parts: Vec<Service<F>> = self
@@ -847,6 +852,9 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
     let mut seq: u64 = 0;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
+            // A connection accepted behind the shutdown's close sweep is
+            // closed here, or its writer would wait forever.
+            drop_connection(conn, shared);
             return;
         }
         match read_frame(&mut stream) {

@@ -9,7 +9,9 @@ use compview_serve::{Client, Server};
 use compview_session::wal;
 use compview_session::{Service, Session, SessionConfig, SessionRequest};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 /// Serialises the env-twiddling tests (COMPVIEW_THREADS is process-global).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -310,4 +312,85 @@ fn malformed_frame_drops_only_that_connection() {
         .expect("counter registered")
         .1;
     assert_eq!(malformed, 1);
+}
+
+/// `Server::shutdown` under load always returns.  Each cycle binds two
+/// shards, pipelines updates and reads from two connections, and shuts
+/// down with answers still in flight: on even cycles the clients stay
+/// connected, on odd ones they hang up first (their readers' cancels
+/// race the stop flag), and every third cycle a third thread keeps
+/// connecting while the server stops (an accept racing the stop).  A
+/// dispatcher that tests the stop flag before shutdown sets it and
+/// starts waiting after the final wake-up would sleep forever, and so
+/// would the writer of a connection accepted behind the shutdown's
+/// close sweep; the per-cycle watchdog turns either into a failure
+/// instead of a hung test.
+#[test]
+fn sharded_shutdown_under_pipelined_load_never_hangs() {
+    const CYCLES: usize = 60;
+    const PER_CONN: usize = 48;
+    const WATCHDOG: Duration = Duration::from_secs(5);
+    let r = |tuples: &[&str]| {
+        Instance::null_model(&sig()).with("R", rel(1, tuples.iter().map(|t| [*t])))
+    };
+    for cycle in 0..CYCLES {
+        let mut svc = demo_service();
+        for name in ["alpha", "beta", "gamma"] {
+            svc.serve(
+                name,
+                SessionRequest::RegisterView {
+                    name: "r".into(),
+                    mask: 0b01,
+                },
+            )
+            .unwrap();
+        }
+        let server = Server::bind_sharded("127.0.0.1:0", svc, 2).unwrap();
+        let addr = server.local_addr();
+        let connecting = Arc::new(AtomicBool::new(cycle % 3 == 2));
+        if connecting.load(Ordering::SeqCst) {
+            let connecting = Arc::clone(&connecting);
+            std::thread::spawn(move || {
+                while connecting.load(Ordering::SeqCst) {
+                    let _ = Client::connect(addr);
+                }
+            });
+        }
+        let mut clients: Vec<Client> = (0..2).map(|_| Client::connect(addr).unwrap()).collect();
+        for i in 0..PER_CONN {
+            for (c, client) in clients.iter_mut().enumerate() {
+                let session = ["alpha", "beta", "gamma"][(i + c) % 3];
+                let req = match i % 3 {
+                    0 => SessionRequest::Update {
+                        view: "r".into(),
+                        new_state: r(&["a2"]),
+                    },
+                    1 => SessionRequest::Read { view: "r".into() },
+                    _ => SessionRequest::Update {
+                        view: "r".into(),
+                        new_state: r(&["a1", "a2"]),
+                    },
+                };
+                client.send(session, &req).unwrap();
+            }
+        }
+        // Half the answers are read, so the dispatchers are mid-stream.
+        for _ in 0..PER_CONN / 2 {
+            clients[0].recv().unwrap().unwrap();
+        }
+        if cycle % 2 == 1 {
+            clients.clear();
+        }
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let svc = server.shutdown();
+            let _ = tx.send(svc.session_names().count());
+        });
+        let outcome = rx.recv_timeout(WATCHDOG);
+        connecting.store(false, Ordering::SeqCst);
+        match outcome {
+            Ok(sessions) => assert_eq!(sessions, 3, "cycle {cycle}: sessions lost"),
+            Err(_) => panic!("cycle {cycle}: Server::shutdown hung for {WATCHDOG:?}"),
+        }
+    }
 }

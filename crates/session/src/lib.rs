@@ -25,9 +25,11 @@
 //!   [`SessionStats`]; [`SessionRequest::Stats`] exposes the counters.
 //!
 //! [`service::Service`] multiplexes named sessions and dispatches request
-//! batches across them on the deterministic `compview-parallel` worker
-//! pool: per-session request order is preserved, sessions are
-//! independent, so results are byte-identical for every thread count.
+//! batches across them: each touched session's queue is served on the
+//! dispatcher thread, in session-name order, and shards are the
+//! parallelism ([`service::ShardedService`], the sharded server).
+//! Per-session request order is preserved and sessions are independent,
+//! so results are byte-identical for every thread and shard count.
 //!
 //! Sessions opened through [`Session::open_durable`] additionally keep a
 //! **write-ahead log** ([`wal`]) on a pluggable [`store::LogStore`]:

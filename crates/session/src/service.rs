@@ -1,11 +1,14 @@
 //! A multi-session front end: named [`Session`]s and deterministic
-//! batch dispatch over the `compview-parallel` worker pool.
+//! batch dispatch.
 //!
 //! Sessions are fully independent (each owns its schema, pools, space,
-//! and views), so a batch of requests can be fanned out across sessions
-//! concurrently.  Determinism contract: per-session request order is the
-//! batch order, and session handling is sequential within a session, so
-//! the result vector is **byte-identical for every thread count**.
+//! and views), so a batch is cut into per-session queues and each queue
+//! is served on the dispatcher thread, in session-name order; shards are
+//! the parallelism ([`ShardedService`], the sharded server), never a
+//! per-batch worker pool.  Determinism contract: per-session request
+//! order is the batch order, and session handling is sequential within a
+//! session, so the result vector is **byte-identical for every thread
+//! and shard count**.
 //!
 //! Durability is per-session too: [`Service::open_dir`] recovers every
 //! `*.wal` log in a directory, and a log that cannot be recovered
@@ -342,10 +345,12 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
         s.serve(req).map_err(DispatchError::Session)
     }
 
-    /// Dispatch a batch of `(session, request)` pairs across the worker
-    /// pool.  Results come back in batch order; requests to the same
-    /// session are served in batch order; sessions run concurrently.
-    /// The output is identical for every thread count.
+    /// Dispatch a batch of `(session, request)` pairs on the calling
+    /// thread.  Results come back in batch order; each touched session
+    /// serves its own requests in batch order, one session after another
+    /// in session-name order.  Parallelism lives a layer up, in the
+    /// shards ([`ShardedService`], the sharded server): each shard's
+    /// dispatcher thread calls this on its own partition.
     ///
     /// Durable sessions run their queue under **group commit**: the
     /// per-record fsyncs their [`SyncPolicy`] would issue are deferred
@@ -392,46 +397,31 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
                 out[pos] = Some(Err(DispatchError::UnknownSession(name)));
             }
         }
-        type Queued<'a, F> = (&'a mut Session<F>, Queue);
-        let mut work: Vec<Queued<'_, F>> = Vec::new();
-        for (name, session) in self.sessions.iter_mut() {
-            if let Some(q) = queues.remove(name) {
-                work.push((session, q));
-            }
-        }
-        let results = compview_parallel::sharded_map_mut(
-            &mut work,
-            compview_parallel::num_threads(),
-            |_, (session, queue)| {
-                let fsync_ctx = queue.iter().find_map(|(_, _, ctx)| *ctx);
-                session.set_deferred_sync(true);
-                let mut answers: Vec<(usize, bool, Result<_, _>)> = queue
-                    .iter()
-                    .map(|(pos, req, ctx)| {
-                        let answer = match ctx {
-                            Some(c) => session.serve_traced(req.clone(), *c),
-                            None => session.serve(req.clone()),
-                        };
-                        (*pos, req.is_durable(), answer)
-                    })
-                    .collect();
-                session.set_deferred_sync(false);
-                if let Err(e) = session.flush_wal_traced(fsync_ctx) {
-                    // The group fsync failed: nothing appended during
-                    // this queue is known durable, so no durable request
-                    // may stay acknowledged.
-                    for (_, durable, answer) in answers.iter_mut() {
-                        if *durable && answer.is_ok() {
-                            *answer = Err(e.clone());
-                        }
-                    }
+        for (name, queue) in queues {
+            let session = self.sessions.get_mut(&name).expect("queued above");
+            let fsync_ctx = queue.iter().find_map(|(_, _, ctx)| *ctx);
+            // Batch positions of the durable requests answered `Ok`.
+            let mut acked: Vec<usize> = Vec::new();
+            session.set_deferred_sync(true);
+            for (pos, req, ctx) in queue {
+                let durable = req.is_durable();
+                let answer = match ctx {
+                    Some(c) => session.serve_traced(req, c),
+                    None => session.serve(req),
+                };
+                if durable && answer.is_ok() {
+                    acked.push(pos);
                 }
-                answers
-            },
-        );
-        for chunk in results {
-            for (pos, _, r) in chunk {
-                out[pos] = Some(r.map_err(DispatchError::Session));
+                out[pos] = Some(answer.map_err(DispatchError::Session));
+            }
+            session.set_deferred_sync(false);
+            if let Err(e) = session.flush_wal_traced(fsync_ctx) {
+                // The group fsync failed: nothing appended during this
+                // queue is known durable, so no durable request may stay
+                // acknowledged.
+                for pos in acked {
+                    out[pos] = Some(Err(DispatchError::Session(e.clone())));
+                }
             }
         }
         let answers = out

@@ -7,8 +7,8 @@ use compview_core::{CatalogError, ComponentFamily, EditError, SubschemaComponent
 use compview_logic::Schema;
 use compview_relation::{rel, v, Instance, RelDecl, Relation, Signature, Tuple};
 use compview_session::{
-    DispatchError, Service, Session, SessionConfig, SessionError, SessionRequest, SessionResponse,
-    SessionStats,
+    DispatchError, FaultPlan, FaultyStore, Service, Session, SessionConfig, SessionError,
+    SessionRequest, SessionResponse, SessionStats, SyncPolicy,
 };
 use std::collections::BTreeMap;
 
@@ -829,6 +829,89 @@ fn sharded_dispatch_is_byte_identical_to_unsharded() {
         for shards in [1usize, 2, 4, 8] {
             assert!(shard_of(name, shards) < shards);
         }
+    }
+}
+
+/// Group commit's honesty rule, inside one batch: two `Always` durable
+/// sessions share the batch, and one of them sits on a store whose sync
+/// fails at the batch's group flush.  That session's durable answers
+/// turn into `Durability` while its reads stand; the other session's
+/// answers and WAL bytes equal a fault-free run's, whichever of the two
+/// is served first.
+#[test]
+fn failed_group_fsync_retracts_only_that_sessions_acks() {
+    let r = |tuples: &[&str]| {
+        Instance::null_model(&sig()).with("R", rel(1, tuples.iter().map(|t| [*t])))
+    };
+    let steps = [
+        SessionRequest::RegisterView {
+            name: "r".into(),
+            mask: 0b01,
+        },
+        SessionRequest::Update {
+            view: "r".into(),
+            new_state: r(&["a2"]),
+        },
+        SessionRequest::Read { view: "r".into() },
+        SessionRequest::Update {
+            view: "r".into(),
+            new_state: r(&["a1", "a2"]),
+        },
+        SessionRequest::Undo,
+        SessionRequest::Read { view: "r".into() },
+    ];
+    let batch: Vec<(String, SessionRequest)> = steps
+        .iter()
+        .flat_map(|req| ["alpha", "beta"].map(|name| (name.to_owned(), req.clone())))
+        .collect();
+    let run = |faulty: Option<&str>| {
+        let mut svc: Service<SubschemaComponents> = Service::new();
+        let mut logs = BTreeMap::new();
+        for name in ["alpha", "beta"] {
+            let (store, bytes) = FaultyStore::new(FaultPlan {
+                // Sync #1 writes open_durable's snapshot; #2 is the
+                // batch's group flush.
+                fail_sync_at: (faulty == Some(name)).then_some(2),
+                ..FaultPlan::default()
+            });
+            let session = Session::open_durable(
+                SubschemaComponents::singletons(sig()),
+                Schema::unconstrained(sig()),
+                &pools(),
+                Instance::null_model(&sig()).with("R", rel(1, [["a1"]])),
+                SessionConfig::default(),
+                Box::new(store),
+                SyncPolicy::Always,
+            )
+            .unwrap();
+            svc.add_session(name, session).unwrap();
+            logs.insert(name, bytes);
+        }
+        let answers = svc.dispatch(batch.clone());
+        let logs: BTreeMap<&str, Vec<u8>> = logs
+            .into_iter()
+            .map(|(name, bytes)| (name, bytes.lock().unwrap().clone()))
+            .collect();
+        (answers, logs)
+    };
+    let (clean, clean_logs) = run(None);
+    assert!(clean.iter().all(Result::is_ok), "{clean:?}");
+    for (faulty, healthy) in [("alpha", "beta"), ("beta", "alpha")] {
+        let (got, logs) = run(Some(faulty));
+        for (i, ((name, req), (g, c))) in batch.iter().zip(got.iter().zip(&clean)).enumerate() {
+            if name == faulty && req.is_durable() {
+                assert!(
+                    matches!(
+                        g,
+                        Err(DispatchError::Session(SessionError::Durability { .. }))
+                    ),
+                    "{faulty} faulty, position {i}: {g:?}"
+                );
+            } else {
+                assert_eq!(g, c, "{faulty} faulty, position {i}");
+            }
+        }
+        assert_eq!(logs[healthy], clean_logs[healthy], "{healthy}'s WAL bytes");
     }
 }
 

@@ -43,8 +43,8 @@ fn main() {
     service.add_session("bob", open()).unwrap();
 
     // A batch across sessions: per-session order is preserved, sessions
-    // are served concurrently, and the results are deterministic at any
-    // thread count.
+    // are served one after another in name order, and the results are
+    // deterministic at any thread count.
     let batch = vec![
         (
             "alice".to_owned(),

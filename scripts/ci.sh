@@ -167,4 +167,20 @@ grep -q "repl.apply @ $f2_addr" <<< "$trace_out"
 grep -q "repl.ship @ $f2_addr" <<< "$trace_out"
 grep -q "repl.apply @ $f3_addr" <<< "$trace_out"
 
+# Benchmark correctness smoke: a short run of every perfbench workload
+# must check out.  Each run replays its traffic on a shadow service and
+# compares the final Read bytes on the leader and the follower, and the
+# subscribers' delta streams, against it — so the leader, follower and
+# subscriber paths are byte-checked on every CI run.  No timing is
+# asserted.
+for workload in durable_write replicated_mem many_sessions; do
+    echo "==> perfbench --workload $workload --seconds 2 (correctness smoke)"
+    result="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    if ! grep -q '"correct": true' <<< "$result" || ! grep -q '"failed": 0,' <<< "$result"; then
+        echo "perfbench $workload did not check out: $result"
+        exit 1
+    fi
+done
+
 echo "CI OK"
