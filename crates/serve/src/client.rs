@@ -4,6 +4,10 @@
 //! the whole point of the server's dispatcher — use [`Client::send`] to
 //! pipeline many requests and [`Client::recv`] to collect the responses:
 //! the server answers one connection's requests strictly in order.
+//! Each send is one write of a whole frame; responses are read through
+//! a fixed 16-KiB buffer, so a burst the server coalesced into one write
+//! is taken in by one read and parsed out of memory, frame by frame, in
+//! the server's order.
 //!
 //! # Delta events
 //!
@@ -21,12 +25,12 @@ use crate::proto::{
     encode_metrics_request_payload, encode_read_at_payload, encode_request_payload,
     encode_sessions_payload, encode_topology_request_payload, encode_trace_request_payload,
     encode_traced_request_payload, expect_handshake, is_event_payload, read_frame, send_handshake,
-    write_frame, ProtoError, SessionsReply, TopologyReply,
+    write_frame, ProtoError, SessionsReply, TopologyReply, READ_BUFFER,
 };
 use compview_obs::{MetricsSnapshot, TraceCtx, TraceSnapshot};
 use compview_session::{DeltaEvent, DispatchError, SessionRequest, SessionResponse};
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// One outcome off the wire: the service's per-request answer (itself a
@@ -57,7 +61,10 @@ enum Arrival {
 
 /// A blocking connection to a [`crate::Server`].
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, read through a fixed buffer (a pipelined burst of
+    /// responses costs one `read`) and written through `get_mut`, one
+    /// `write` per frame.
+    stream: BufReader<TcpStream>,
     inbox: VecDeque<Arrival>,
     /// Once the transport has failed: why.  Every later send or receive
     /// returns the same [`ProtoError::ConnectionLost`] instead of a
@@ -78,7 +85,7 @@ impl Client {
         send_handshake(&mut stream)?;
         expect_handshake(&mut stream)?;
         Ok(Client {
-            stream,
+            stream: BufReader::with_capacity(READ_BUFFER, stream),
             inbox: VecDeque::new(),
             lost: None,
         })
@@ -98,6 +105,18 @@ impl Client {
         ProtoError::ConnectionLost { detail }
     }
 
+    /// Frame and send one request payload; a transport failure poisons
+    /// the connection.
+    fn send_payload(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        if let Some(e) = self.lost_err() {
+            return Err(e);
+        }
+        write_frame(self.stream.get_mut(), payload).map_err(|e| match e {
+            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
+            other => other,
+        })
+    }
+
     /// Send one request without waiting for its response (pipelining).
     /// Responses arrive in send order; collect them with
     /// [`Client::recv`].
@@ -106,13 +125,7 @@ impl Client {
     /// [`ProtoError::ConnectionLost`] — deterministically, on every call
     /// — once the transport has failed.
     pub fn send(&mut self, session: &str, req: &SessionRequest) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_request_payload(session, req)).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_request_payload(session, req))
     }
 
     /// Send one request tagged with a trace context (pipelining, like
@@ -128,17 +141,7 @@ impl Client {
         req: &SessionRequest,
         ctx: TraceCtx,
     ) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(
-            &mut self.stream,
-            &encode_traced_request_payload(session, req, ctx),
-        )
-        .map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_traced_request_payload(session, req, ctx))
     }
 
     /// Send one traced request and wait for its response.
@@ -267,13 +270,7 @@ impl Client {
     /// slots into this connection's FIFO like any other request, so a
     /// probe pipelined behind N requests observes all N.
     pub fn send_metrics(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_metrics_request_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_metrics_request_payload())
     }
 
     /// Receive the response to a [`Client::send_metrics`], parking delta
@@ -297,13 +294,7 @@ impl Client {
     /// Send a `Sessions` listing request without waiting (pipelining);
     /// collect the answer with [`Client::recv_sessions`].
     pub fn send_sessions(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_sessions_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_sessions_payload())
     }
 
     /// Receive the response to a [`Client::send_sessions`], parking
@@ -331,13 +322,7 @@ impl Client {
     /// afresh, so one collector per node sees every sampled span exactly
     /// once.
     pub fn send_trace(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_trace_request_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_trace_request_payload())
     }
 
     /// Receive the response to a [`Client::send_trace`], parking delta
@@ -362,13 +347,7 @@ impl Client {
     /// Send a `Topology` request without waiting (pipelining); collect
     /// the answer with [`Client::recv_topology`].
     pub fn send_topology(&mut self) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
-        write_frame(&mut self.stream, &encode_topology_request_payload()).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_topology_request_payload())
     }
 
     /// Receive the response to a [`Client::send_topology`], parking
@@ -433,18 +412,10 @@ impl Client {
         min_seq: u64,
         wait: std::time::Duration,
     ) -> Result<(), ProtoError> {
-        if let Some(e) = self.lost_err() {
-            return Err(e);
-        }
         let wait_ms = u64::try_from(wait.as_millis()).unwrap_or(u64::MAX);
-        write_frame(
-            &mut self.stream,
-            &encode_read_at_payload(session, view, gen, min_seq, wait_ms),
-        )
-        .map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        self.send_payload(&encode_read_at_payload(
+            session, view, gen, min_seq, wait_ms,
+        ))
     }
 
     /// Send one read-your-writes read and wait for its answer (see

@@ -37,6 +37,12 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// Bytes of framing ahead of the payload (`len` + `crc`).
 pub const FRAME_HEADER: usize = 4 + 4;
 
+/// Read-buffer size of every frame reader — the server's connection
+/// readers, [`crate::Client`], and a follower's leader link: one `read`
+/// takes in a whole burst of small frames.  Fixed per connection, and
+/// its pages are touched only as bytes arrive.
+pub(crate) const READ_BUFFER: usize = 16 << 10;
+
 /// Marker byte of a `Metrics` request payload and of its response.
 ///
 /// A metrics request is the single byte `[KIND_METRICS]` — no session
@@ -256,33 +262,81 @@ pub fn expect_handshake(r: &mut impl Read) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Write one frame around `payload`.
+/// Append one frame around `payload` to `out` — the exact bytes
+/// [`write_frame`] puts on the wire, so a writer can coalesce many
+/// frames into one buffer and one write.
 ///
 /// # Errors
 /// [`ProtoError::TooLarge`] when the payload exceeds [`MAX_FRAME`]
-/// (nothing is written); otherwise any transport error.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
+/// (nothing is appended).
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), ProtoError> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or(ProtoError::TooLarge {
             len: payload.len().min(u32::MAX as usize) as u32,
         })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)?;
+    out.reserve(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     Ok(())
+}
+
+/// Write one frame around `payload`, header and payload in a single
+/// `write_all`.
+///
+/// # Errors
+/// [`ProtoError::TooLarge`] when the payload exceeds [`MAX_FRAME`]
+/// (nothing is written); otherwise any transport error.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
+    let mut frame = Vec::new();
+    put_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
+    Ok(())
+}
+
+/// Whether `buf` opens with a whole frame, header and payload — so
+/// reading it from a buffered reader holding `buf` cannot block.
+pub fn frame_buffered(buf: &[u8]) -> bool {
+    let Some(header) = buf.get(..FRAME_HEADER) else {
+        return false;
+    };
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    (buf.len() - FRAME_HEADER) as u64 >= u64::from(len)
 }
 
 /// Fill `buf` exactly, or report a clean end-of-stream (`Ok(false)`) when
 /// the stream ends *before the first byte*.  Ending mid-buffer is an
-/// [`io::ErrorKind::UnexpectedEof`] — the peer died inside a frame.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+/// [`io::ErrorKind::UnexpectedEof`] — the peer died inside a frame — and
+/// so is a read timeout mid-buffer: bytes of a frame were consumed, so
+/// the stream is torn, not idle.  `started` says whether bytes of the
+/// same frame were consumed before this call.
+fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8], started: bool) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
-        let n = r.read(&mut buf[filled..])?;
+        let n = match r.read(&mut buf[filled..]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if (started || filled > 0)
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "stream stalled {filled} bytes into a {}-byte read inside a frame",
+                        buf.len()
+                    ),
+                ));
+            }
+            Err(e) => return Err(e),
+        };
         if n == 0 {
-            if filled == 0 {
+            if filled == 0 && !started {
                 return Ok(false);
             }
             return Err(io::Error::new(
@@ -298,6 +352,12 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 /// Read one frame; `Ok(None)` on a clean end-of-stream at a frame
 /// boundary (the peer hung up between requests).
 ///
+/// A read timeout before the frame's first byte surfaces as the
+/// transport's own `WouldBlock` / `TimedOut` error (an idle peer); once
+/// any byte of the frame has been consumed, a timeout is a torn stream
+/// ([`io::ErrorKind::UnexpectedEof`]), since the rest of the frame can
+/// no longer be told apart from a new one.
+///
 /// # Errors
 /// [`ProtoError::TooLarge`] before allocating anything for an over-limit
 /// length; [`ProtoError::BadCrc`] when the payload bytes do not match
@@ -305,7 +365,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 /// inside the frame.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut header = [0u8; FRAME_HEADER];
-    if !read_exact_or_eof(r, &mut header)? {
+    if !read_exact_or_eof(r, &mut header, false)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
@@ -314,12 +374,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
         return Err(ProtoError::TooLarge { len });
     }
     let mut payload = vec![0u8; len as usize];
-    if !read_exact_or_eof(r, &mut payload)? && len != 0 {
-        return Err(ProtoError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended between a frame's header and its payload",
-        )));
-    }
+    read_exact_or_eof(r, &mut payload, true)?;
     let computed = crc32(&payload);
     if computed != carried {
         return Err(ProtoError::BadCrc { carried, computed });

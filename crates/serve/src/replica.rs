@@ -31,6 +31,20 @@
 //!   leader never wrote) is **fatal**, not retried — it surfaces through
 //!   [`Replica::fault`] instead of silently forking history.
 //!
+//! # Apply batches
+//!
+//! The leader link is read through a fixed 16-KiB buffer, and every WAL
+//! frame already whole in it is applied as one batch: the batch ends at
+//! an `End` or at the first other frame (an ack, a listing, a
+//! heartbeat), which is processed next, in stream order.  In the tail
+//! the follower's server splits a batch by owning shard; each shard
+//! applies its share in order and stops at its first refused record.
+//! Every report of the batch is folded into the positions before the
+//! loop acts on a refusal, an `End`, or the end of the initial sync, so
+//! the positions stay the apply path's own: no applied record is
+//! re-requested, and nothing past a refusal is applied.
+//! `repl.records_applied` ÷ `repl.apply_batches` is the mean batch.
+//!
 //! # Topology
 //!
 //! Replication composes into a tree.  One leader streams any number of
@@ -59,21 +73,21 @@
 
 use crate::proto::{
     decode_replicate_ack_payload, decode_sessions_reply_payload, decode_wal_frame_payload,
-    encode_replicate_payload, encode_sessions_payload, expect_handshake, is_heartbeat_payload,
-    is_replicate_ack_payload, is_sessions_reply_payload, is_wal_payload, read_frame,
-    send_handshake, write_frame, ProtoError, ReplicateAck, SessionsReply, WalFrame,
+    encode_replicate_payload, encode_sessions_payload, expect_handshake, frame_buffered,
+    is_heartbeat_payload, is_replicate_ack_payload, is_sessions_reply_payload, is_wal_payload,
+    read_frame, send_handshake, write_frame, ProtoError, ReplicateAck, SessionsReply, WalFrame,
+    READ_BUFFER,
 };
-use crate::server::{ApplyKind, ApplyReport, ServeOptions, Server};
+use crate::server::{apply_batch, ApplyBatch, ApplyKind, ApplyReport, ServeOptions, Server};
 use compview_core::ComponentFamily;
 use compview_logic::Schema;
 use compview_obs::{Counter, Gauge, Registry, TraceCtx};
 use compview_relation::{Instance, Tuple};
-use compview_session::{
-    ApplyError, FsStore, LogStore, Service, Session, SessionConfig, SyncPolicy,
-};
+use compview_session::{FsStore, LogStore, Service, Session, SessionConfig, SyncPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -262,9 +276,9 @@ struct ReplObs {
     /// the leader's ack positions; 0 once caught up — live shipments are
     /// applied as they arrive).
     lag_records: Gauge,
-    /// Bytes of the shipment currently received but not yet applied
-    /// (pulses per record; a sustained value means the apply path is the
-    /// bottleneck).
+    /// Bytes of the shipments currently received but not yet applied
+    /// (pulses per apply batch; a sustained value means the apply path
+    /// is the bottleneck).
     lag_bytes: Gauge,
     /// Milliseconds since the last shipment was applied, refreshed on
     /// every upstream frame (heartbeats included).  `repl.lag_records`
@@ -279,6 +293,11 @@ struct ReplObs {
     /// undecodable payload) — each costs the link and forces a re-sync
     /// from the last durably applied record.
     bad_records: Counter,
+    /// Apply batches handed to the apply path, in the initial sync and
+    /// the tail alike: each is every WAL frame that was already whole in
+    /// the link's read buffer.  `repl.records_applied` ÷ this is the mean
+    /// batch.
+    apply_batches: Counter,
     /// Sessions discovered on the upstream and opened locally from the
     /// [`Mirror`] spec.
     mirrored: Counter,
@@ -297,6 +316,7 @@ impl ReplObs {
             reconnects: registry.counter("repl.reconnects"),
             connected: registry.gauge("repl.connected"),
             bad_records: registry.counter("repl.bad_records"),
+            apply_batches: registry.counter("repl.apply_batches"),
             mirrored: registry.counter("repl.sessions_mirrored"),
             mirror_failures: registry.counter("repl.mirror_failures"),
         }
@@ -338,9 +358,10 @@ fn total_lag(positions: &BTreeMap<String, Position>) -> u64 {
 }
 
 /// The raw leader connection: handshake, `Replicate` requests, and the
-/// mixed stream of acks, WAL shipments, and heartbeats coming back.
+/// mixed stream of acks, WAL shipments, and heartbeats coming back, read
+/// through a buffer so a burst of shipments costs one `read`.
 struct LeaderLink {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl LeaderLink {
@@ -350,12 +371,14 @@ impl LeaderLink {
         stream.set_read_timeout(Some(read_timeout))?;
         send_handshake(&mut stream)?;
         expect_handshake(&mut stream)?;
-        Ok(LeaderLink { stream })
+        Ok(LeaderLink {
+            stream: BufReader::with_capacity(READ_BUFFER, stream),
+        })
     }
 
     fn request(&mut self, session: &str, from_seq: u64, gen: u64) -> Result<(), ProtoError> {
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             &encode_replicate_payload(session, from_seq, gen),
         )
     }
@@ -369,7 +392,7 @@ impl LeaderLink {
     /// Ask for the upstream's `Sessions` listing without waiting for the
     /// reply (it arrives in the mixed stream, routed by payload kind).
     fn request_sessions(&mut self) -> Result<(), ProtoError> {
-        write_frame(&mut self.stream, &encode_sessions_payload())
+        write_frame(self.stream.get_mut(), &encode_sessions_payload())
     }
 
     /// Connect-time `Sessions` exchange: ask and block for the listing.
@@ -397,7 +420,7 @@ impl LeaderLink {
 
     /// A handle [`Replica::promote`] can use to cut a blocked read.
     fn shutdown_handle(&self) -> Option<TcpStream> {
-        self.stream.try_clone().ok()
+        self.stream.get_ref().try_clone().ok()
     }
 }
 
@@ -426,7 +449,11 @@ struct Discover<'a> {
 
 /// Run one connection's worth of streaming: request every session,
 /// route acks by request order, apply shipments as they arrive, and keep
-/// the positions authoritative from the apply reports.  With
+/// the positions authoritative from the apply reports.  Every WAL frame
+/// already whole in the link's read buffer joins one apply batch, which
+/// ends at an `End` or at the first other frame (processed next, in
+/// order); every report of the batch is folded into the positions before
+/// a refusal, an `End`, or the sync countdown is acted on.  With
 /// `until_synced`, returns [`StreamBreak::Synced`] the moment every
 /// session has caught up to its ack's position; otherwise runs until the
 /// link breaks or `stop` is raised.  `discover` (tail phase only — never
@@ -435,7 +462,7 @@ struct Discover<'a> {
 fn pump_streams(
     link: &mut LeaderLink,
     positions: &mut BTreeMap<String, Position>,
-    mut apply: impl FnMut(&str, ApplyKind) -> Option<ApplyReport>,
+    mut apply: impl FnMut(ApplyBatch) -> Vec<ApplyReport>,
     mut discover: Option<Discover<'_>>,
     obs: &ReplObs,
     stop: &AtomicBool,
@@ -468,6 +495,8 @@ fn pump_streams(
     // `repl.lag_age_ms` gauge, refreshed per frame so a quiet-but-alive
     // link reads as aging, not frozen.
     let mut last_applied_at: Option<Instant> = None;
+    // A frame read past the end of an apply batch, processed next.
+    let mut pending: Option<Vec<u8>> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             return StreamBreak::Stopped;
@@ -480,7 +509,7 @@ fn pump_streams(
                 }
             }
         }
-        let payload = match link.read_payload() {
+        let payload = match pending.take().map_or_else(|| link.read_payload(), Ok) {
             Ok(p) => p,
             Err(e) => {
                 if stop.load(Ordering::SeqCst) {
@@ -501,64 +530,114 @@ fn pump_streams(
             continue;
         }
         if is_wal_payload(&payload) {
-            let frame = match decode_wal_frame_payload(&payload) {
-                Ok(f) => f,
-                Err(e) => return StreamBreak::Lost(format!("undecodable WAL frame: {e}")),
-            };
-            let (session, kind, nbytes) = match frame {
-                WalFrame::Record {
-                    session,
-                    bytes,
-                    trace,
-                    ..
-                } => {
-                    let n = bytes.len();
-                    let ctx = trace.map(|(trace_id, parent_span)| TraceCtx {
-                        trace_id,
-                        parent_span,
-                    });
-                    (session, ApplyKind::Record(bytes, ctx), n)
+            let mut batch: ApplyBatch = Vec::new();
+            let mut nbytes = 0;
+            // Why the link must drop once the batch is applied.
+            let mut broken: Option<String> = None;
+            let mut frame = payload;
+            loop {
+                match decode_wal_frame_payload(&frame) {
+                    Ok(WalFrame::Record {
+                        session,
+                        bytes,
+                        trace,
+                        ..
+                    }) => {
+                        nbytes += bytes.len();
+                        let ctx = trace.map(|(trace_id, parent_span)| TraceCtx {
+                            trace_id,
+                            parent_span,
+                        });
+                        batch.push((session, ApplyKind::Record(bytes, ctx)));
+                    }
+                    Ok(WalFrame::Reset {
+                        session, record0, ..
+                    }) => {
+                        nbytes += record0.len();
+                        batch.push((session, ApplyKind::Reset(record0)));
+                    }
+                    Ok(WalFrame::End { session, reason }) => {
+                        broken = Some(format!("leader ended {session:?}: {reason}"));
+                        break;
+                    }
+                    Err(e) => {
+                        broken = Some(format!("undecodable WAL frame: {e}"));
+                        break;
+                    }
                 }
-                WalFrame::Reset {
-                    session, record0, ..
-                } => {
-                    let n = record0.len();
-                    (session, ApplyKind::Reset(record0), n)
+                // Only frames already whole in the buffer join the
+                // batch: reading one cannot block.
+                if !frame_buffered(link.stream.buffer()) {
+                    break;
                 }
-                WalFrame::End { session, reason } => {
-                    return StreamBreak::Lost(format!("leader ended {session:?}: {reason}"));
+                match link.read_payload() {
+                    Ok(next) if is_wal_payload(&next) => frame = next,
+                    Ok(next) => {
+                        pending = Some(next);
+                        break;
+                    }
+                    Err(e) => {
+                        broken = Some(e.to_string());
+                        break;
+                    }
                 }
-            };
-            obs.lag_bytes.set(nbytes as u64);
-            let Some(report) = apply(&session, kind) else {
-                return StreamBreak::Stopped;
-            };
-            obs.lag_bytes.set(0);
-            let Some(pos) = positions.get_mut(&session) else {
-                // A shipment for a session this replica never asked
-                // about: the stream cannot be trusted.
-                return StreamBreak::Lost(format!("shipment for unknown session {session:?}"));
-            };
-            pos.gen = report.gen;
-            pos.applied = report.last_seq;
-            if let Err(e) = report.outcome {
-                // Gap, CRC mismatch, torn or undecodable record: never
-                // apply a torn suffix — drop the link and re-request
-                // from the durably applied position instead.
-                obs.bad_records.inc();
-                return StreamBreak::Lost(format!("apply refused for {session:?}: {e}"));
             }
-            pos.target = pos.target.max(pos.applied);
-            last_applied_at = Some(Instant::now());
-            obs.lag_age_ms.set(0);
-            note_link(&session, pos.target);
-            obs.lag_records.set(total_lag(positions));
-            let pos = positions.get_mut(&session).expect("position just seen");
-            if until_synced && !pos.synced && pos.acked && pos.applied >= pos.target {
-                pos.synced = true;
-                unsynced -= 1;
-                if unsynced == 0 {
-                    return StreamBreak::Synced;
+            let mut applied: Vec<String> = Vec::new();
+            let mut refused: Option<String> = None;
+            if !batch.is_empty() {
+                obs.lag_bytes.set(nbytes as u64);
+                obs.apply_batches.inc();
+                let reports = apply(batch);
+                obs.lag_bytes.set(0);
+                for report in reports {
+                    let Some(pos) = positions.get_mut(&report.session) else {
+                        // A shipment for a session this replica never
+                        // asked about: the stream cannot be trusted.
+                        refused.get_or_insert(format!(
+                            "shipment for unknown session {:?}",
+                            report.session
+                        ));
+                        continue;
+                    };
+                    pos.gen = report.gen;
+                    pos.applied = report.last_seq;
+                    match report.outcome {
+                        Ok(_) => {
+                            pos.target = pos.target.max(pos.applied);
+                            note_link(&report.session, pos.target);
+                            applied.push(report.session);
+                        }
+                        // Gap, CRC mismatch, torn or undecodable record:
+                        // never apply a torn suffix — drop the link and
+                        // re-request from the durably applied position.
+                        Err(e) => {
+                            obs.bad_records.inc();
+                            refused.get_or_insert(format!(
+                                "apply refused for {:?}: {e}",
+                                report.session
+                            ));
+                        }
+                    }
+                }
+                if !applied.is_empty() {
+                    last_applied_at = Some(Instant::now());
+                    obs.lag_age_ms.set(0);
+                }
+                obs.lag_records.set(total_lag(positions));
+            }
+            if let Some(detail) = refused.or(broken) {
+                return StreamBreak::Lost(detail);
+            }
+            if until_synced {
+                for session in applied {
+                    let pos = positions.get_mut(&session).expect("position just folded");
+                    if !pos.synced && pos.acked && pos.applied >= pos.target {
+                        pos.synced = true;
+                        unsynced -= 1;
+                        if unsynced == 0 {
+                            return StreamBreak::Synced;
+                        }
+                    }
                 }
             }
         } else if is_replicate_ack_payload(&payload) {
@@ -626,35 +705,6 @@ fn pump_streams(
             }
         } else {
             return StreamBreak::Lost("unexpected frame kind from leader".to_owned());
-        }
-    }
-}
-
-/// Apply one shipment synchronously on an unbound service (initial
-/// sync); mirrors what the server's dispatcher does for `Item::Apply`.
-fn apply_direct<F: ComponentFamily + Send + Sync>(
-    service: &mut Service<F>,
-    session: &str,
-    kind: ApplyKind,
-) -> ApplyReport {
-    match service.session_mut(session) {
-        None => ApplyReport {
-            gen: 0,
-            last_seq: 0,
-            outcome: Err(ApplyError::BadRecord {
-                detail: format!("unknown session {session:?}"),
-            }),
-        },
-        Some(s) => {
-            let outcome = match kind {
-                ApplyKind::Record(bytes, ctx) => s.apply_replicated_traced(&bytes, ctx),
-                ApplyKind::Reset(bytes) => s.apply_reset(&bytes),
-            };
-            ApplyReport {
-                gen: s.wal_gen(),
-                last_seq: s.wal_last_seq(),
-                outcome,
-            }
         }
     }
 }
@@ -845,7 +895,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Replica<F> {
                             pump_streams(
                                 &mut link,
                                 &mut positions,
-                                |session, kind| Some(apply_direct(&mut service, session, kind)),
+                                |batch| apply_batch(&mut service, batch),
                                 None,
                                 &obs,
                                 &never_stop,
@@ -1092,7 +1142,7 @@ fn tail_loop<F: ComponentFamily + Send + Sync + 'static>(
                         pump_streams(
                             &mut link,
                             &mut positions,
-                            |session, kind| server.enqueue_apply(session, kind).recv().ok(),
+                            |batch| server.enqueue_apply(batch).iter().flatten().collect(),
                             Some(Discover {
                                 adopt: &mut adopt,
                                 interval: options.discover_interval,

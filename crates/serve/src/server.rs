@@ -24,14 +24,24 @@
 //! are byte-identical to a single-dispatcher server — only the
 //! parallelism changes.
 //!
+//! Both ends of a connection move bursts, not single frames.  The
+//! reader takes in whatever the socket holds through a fixed 16-KiB
+//! buffer and parses every whole frame out of memory.  The writer, each
+//! time it wakes, takes every frame queued for the wire under one lock
+//! (up to a 64-KiB ceiling; a single larger frame goes alone), encodes
+//! them into one reused buffer, and hands them to the kernel in one
+//! write.  The bytes on the wire are exactly those of one write per
+//! frame; `serve.frames_out` ÷ `serve.write_calls` is the mean burst.
+//!
 //! # Ordering
 //!
 //! Within one connection, responses go out in request order even though
 //! different requests may be answered by different shards: the reader
 //! stamps every request with a per-connection sequence number, and the
 //! writer's reorder buffer holds each finished response until all
-//! lower-numbered ones have been queued.  Across connections no order is
-//! promised (none exists to preserve).
+//! lower-numbered ones have been queued.  The writer drains that queue
+//! front to back into each write, so coalescing never reorders frames.
+//! Across connections no order is promised (none exists to preserve).
 //!
 //! Delta-event frames are unsolicited and carry no sequence number;
 //! their ordering contract is per subscription: every event goes out
@@ -52,7 +62,8 @@
 //! Each connection has one writer thread; a peer that stops reading
 //! blocks its writer on the socket, never a dispatcher.  Undelivered
 //! event frames queue per subscription up to
-//! [`ServeOptions::event_outbox_cap`]; one past the cap, the server ends
+//! [`ServeOptions::event_outbox_cap`] — a frame stays counted until the
+//! write carrying it has returned; one past the cap, the server ends
 //! the stream — the overflowing event is replaced by a cap-exempt
 //! `Terminated(SlowConsumer)` event queued behind the frames already
 //! owed, so the delivered prefix stays gapless — and the subscription is
@@ -75,8 +86,9 @@ use crate::proto::{
     decode_wire_request, encode_event_payload, encode_heartbeat_payload,
     encode_metrics_response_payload, encode_replicate_ack_payload, encode_result_payload,
     encode_sessions_reply_payload, encode_topology_reply_payload, encode_trace_response_payload,
-    encode_wal_frame_payload, expect_handshake, read_frame, send_handshake, write_frame,
+    encode_wal_frame_payload, expect_handshake, put_frame, read_frame, send_handshake,
     ReplicateAck, SessionsReply, TopoRole, TopoSession, TopologyReply, WalFrame, WireRequest,
+    FRAME_HEADER, READ_BUFFER,
 };
 use compview_core::ComponentFamily;
 use compview_obs::{Counter, Gauge, MetricsSnapshot, Registry, TraceCtx, TraceSnapshot};
@@ -86,7 +98,7 @@ use compview_session::{
 };
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -159,6 +171,11 @@ enum StreamKey {
     Repl(String, u64),
 }
 
+/// Ceiling of one coalesced socket write: the writer packs queued frames
+/// into one buffer up to this many bytes (a single larger frame still
+/// goes alone), so one wake-up costs one `write` system call.
+const WRITE_BURST: usize = 64 << 10;
+
 /// What a follower asks its dispatcher to apply (see [`Item::Apply`]).
 pub(crate) enum ApplyKind {
     /// One raw framed WAL record, with the distributed-trace context the
@@ -168,10 +185,17 @@ pub(crate) enum ApplyKind {
     Reset(Vec<u8>),
 }
 
-/// What came of one [`Item::Apply`]: the session's authoritative
+/// Leader shipments in stream order, each with its session: what a
+/// follower hands its dispatchers (and a dispatcher its service) to
+/// apply in one go.
+pub(crate) type ApplyBatch = Vec<(String, ApplyKind)>;
+
+/// What came of one shipment's apply: the session's authoritative
 /// position after the attempt, success or not — the replica's tail loop
 /// resumes from *this*, never from its own bookkeeping.
 pub(crate) struct ApplyReport {
+    /// The session the shipment was for.
+    pub session: String,
     /// The session's WAL generation after the attempt.
     pub gen: u64,
     /// The session's last WAL sequence number after the attempt.
@@ -235,12 +259,12 @@ enum Item {
         from_seq: u64,
         gen: u64,
     },
-    /// (Follower side) apply one leader shipment to the local session;
-    /// the report goes back to the replica's tail loop.
+    /// (Follower side) apply this shard's share of a batch of leader
+    /// shipments, in order, stopping at the first refused one; the
+    /// reports go back to the replica's tail loop in one vector.
     Apply {
-        session: String,
-        kind: ApplyKind,
-        done: mpsc::Sender<ApplyReport>,
+        records: ApplyBatch,
+        done: mpsc::Sender<Vec<ApplyReport>>,
     },
     /// (Follower side) promotion barrier, enqueued on *every* shard
     /// after the tail loop has stopped: fsync every session of this
@@ -316,6 +340,9 @@ struct ServeObs {
     frames_in: Counter,
     /// Frames written to the wire (responses and events alike).
     frames_out: Counter,
+    /// Socket writes that carried them: one per writer wake-up, each
+    /// coalescing every queued frame up to [`WRITE_BURST`] bytes.
+    write_calls: Counter,
     /// Delta-event frames accepted into a connection's outbox.
     events_out: Counter,
     /// Subscriptions dropped for falling behind
@@ -349,6 +376,7 @@ impl ServeObs {
             connections: registry.counter("serve.connections"),
             frames_in: registry.counter("serve.frames_in"),
             frames_out: registry.counter("serve.frames_out"),
+            write_calls: registry.counter("serve.write_calls"),
             events_out: registry.counter("serve.events_out"),
             slow_drops: registry.counter("serve.sub.slow_drops"),
             malformed_frames: registry.counter("serve.malformed_frames"),
@@ -366,6 +394,70 @@ impl ServeObs {
 struct ShardQueue {
     queue: Mutex<VecDeque<Item>>,
     wake: Condvar,
+}
+
+/// Push `item` onto `shard`'s queue, raise the queue-depth high-water
+/// mark, and wake the shard's dispatcher — the one way anything enters
+/// a shard queue.
+fn enqueue(shared: &Shared, shard: usize, item: Item) {
+    let sq = &shared.shards[shard];
+    let mut q = sq.queue.lock().expect("queue");
+    q.push_back(item);
+    shared.obs.queue_depth_hwm.raise(q.len() as u64);
+    drop(q);
+    sq.wake.notify_one();
+}
+
+/// [`enqueue`] one item per shard, each built by `item` — the barriers
+/// and notices every dispatcher must see.
+fn broadcast(shared: &Shared, mut item: impl FnMut() -> Item) {
+    for shard in 0..shared.shards.len() {
+        enqueue(shared, shard, item());
+    }
+}
+
+/// Apply a run of leader shipments to `service` in order, stopping at
+/// the first one refused: one report per attempted shipment, the last
+/// one carrying the refusal if there was one.  Shipments behind a
+/// refusal are not attempted — the follower re-requests them from the
+/// reported position.  The dispatcher runs this for its shard's share
+/// of a tail batch, and a follower's initial sync runs it on the whole
+/// batch.
+pub(crate) fn apply_batch<F: ComponentFamily + Send + Sync>(
+    service: &mut Service<F>,
+    records: ApplyBatch,
+) -> Vec<ApplyReport> {
+    let mut reports = Vec::with_capacity(records.len());
+    for (session, kind) in records {
+        let report = match service.session_mut(&session) {
+            None => ApplyReport {
+                outcome: Err(ApplyError::BadRecord {
+                    detail: format!("unknown session {session:?}"),
+                }),
+                session,
+                gen: 0,
+                last_seq: 0,
+            },
+            Some(s) => {
+                let outcome = match kind {
+                    ApplyKind::Record(bytes, ctx) => s.apply_replicated_traced(&bytes, ctx),
+                    ApplyKind::Reset(bytes) => s.apply_reset(&bytes),
+                };
+                ApplyReport {
+                    gen: s.wal_gen(),
+                    last_seq: s.wal_last_seq(),
+                    outcome,
+                    session,
+                }
+            }
+        };
+        let refused = report.outcome.is_err();
+        reports.push(report);
+        if refused {
+            break;
+        }
+    }
+    reports
 }
 
 /// A side effect a response frame carries into the writer: applied at
@@ -624,26 +716,24 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
         self.addr
     }
 
-    /// (Replica plumbing) hand one leader shipment to the owning shard's
-    /// dispatcher; the report arrives on the returned channel once the
-    /// apply has run.
-    pub(crate) fn enqueue_apply(
-        &self,
-        session: &str,
-        kind: ApplyKind,
-    ) -> mpsc::Receiver<ApplyReport> {
+    /// (Replica plumbing) hand a batch of leader shipments to the
+    /// dispatchers: split by owning shard, one `Apply` per touched shard,
+    /// each applying its share in order (see [`apply_batch`]).  One
+    /// report vector per touched shard arrives on the returned channel,
+    /// which closes once every share has been answered.
+    pub(crate) fn enqueue_apply(&self, batch: ApplyBatch) -> mpsc::Receiver<Vec<ApplyReport>> {
         let (tx, rx) = mpsc::channel();
-        let shard = shard_of(session, self.shared.shards.len());
-        let sq = &self.shared.shards[shard];
-        let mut q = sq.queue.lock().expect("queue");
-        q.push_back(Item::Apply {
-            session: session.to_string(),
-            kind,
-            done: tx,
-        });
-        self.shared.obs.queue_depth_hwm.raise(q.len() as u64);
-        drop(q);
-        sq.wake.notify_one();
+        let n = self.shared.shards.len();
+        let mut shares: Vec<ApplyBatch> = (0..n).map(|_| Vec::new()).collect();
+        for (session, kind) in batch {
+            shares[shard_of(&session, n)].push((session, kind));
+        }
+        for (shard, records) in shares.into_iter().enumerate() {
+            if !records.is_empty() {
+                let done = tx.clone();
+                enqueue(&self.shared, shard, Item::Apply { records, done });
+            }
+        }
         rx
     }
 
@@ -652,12 +742,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     /// fsync its partition and flip its sessions writable.
     pub(crate) fn promote_partitions(&self) -> Result<(), String> {
         let (tx, rx) = mpsc::channel();
-        for sq in &self.shared.shards {
-            let mut q = sq.queue.lock().expect("queue");
-            q.push_back(Item::Promote { done: tx.clone() });
-            drop(q);
-            sq.wake.notify_one();
-        }
+        broadcast(&self.shared, || Item::Promote { done: tx.clone() });
         drop(tx);
         let mut result = Ok(());
         for r in rx {
@@ -673,14 +758,9 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     /// fire-and-forget — queue order puts it ahead of any write that
     /// would be rejected with the stale address.
     pub(crate) fn retarget(&self, leader: String) {
-        for sq in &self.shared.shards {
-            let mut q = sq.queue.lock().expect("queue");
-            q.push_back(Item::Retarget {
-                leader: leader.clone(),
-            });
-            drop(q);
-            sq.wake.notify_one();
-        }
+        broadcast(&self.shared, || Item::Retarget {
+            leader: leader.clone(),
+        });
     }
 
     /// Number of dispatcher shards.
@@ -738,16 +818,12 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
     pub fn adopt_session(&self, name: &str, session: Session<F>) -> Result<(), String> {
         let (tx, rx) = mpsc::channel();
         let shard = shard_of(name, self.shared.shards.len());
-        let sq = &self.shared.shards[shard];
-        let mut q = sq.queue.lock().expect("queue");
-        q.push_back(Item::Adopt {
+        let adopt = Item::Adopt {
             name: name.to_owned(),
             session: Box::new(session),
             done: tx,
-        });
-        self.shared.obs.queue_depth_hwm.raise(q.len() as u64);
-        drop(q);
-        sq.wake.notify_one();
+        };
+        enqueue(&self.shared, shard, adopt);
         rx.recv()
             .map_err(|_| "server stopped before the adoption ran".to_owned())?
     }
@@ -847,8 +923,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
+fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
     let n_shards = shared.shards.len();
+    // Pipelined requests arrive in bursts: one `read` takes in every
+    // whole frame of a burst, and the frames are parsed out of memory.
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     let mut seq: u64 = 0;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -864,33 +943,25 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
                     match wire {
                         WireRequest::Dispatch(session, req) => {
                             let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::Dispatch {
+                            let item = Item::Dispatch {
                                 conn,
                                 seq,
                                 session,
                                 req,
                                 trace: None,
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
+                            };
+                            enqueue(shared, shard, item);
                         }
                         WireRequest::DispatchTraced { session, req, ctx } => {
                             let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::Dispatch {
+                            let item = Item::Dispatch {
                                 conn,
                                 seq,
                                 session,
                                 req,
                                 trace: Some((ctx, Instant::now())),
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
+                            };
+                            enqueue(shared, shard, item);
                         }
                         WireRequest::Replicate {
                             session,
@@ -898,18 +969,14 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
                             gen,
                         } => {
                             let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::Replicate {
+                            let item = Item::Replicate {
                                 conn,
                                 seq,
                                 session,
                                 from_seq,
                                 gen,
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
+                            };
+                            enqueue(shared, shard, item);
                         }
                         WireRequest::ReadAt {
                             session,
@@ -919,9 +986,7 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
                             wait_ms,
                         } => {
                             let shard = shard_of(&session, n_shards);
-                            let sq = &shared.shards[shard];
-                            let mut q = sq.queue.lock().expect("queue");
-                            q.push_back(Item::ReadAt {
+                            let item = Item::ReadAt {
                                 conn,
                                 seq,
                                 session,
@@ -932,78 +997,52 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
                                 // overflow `Instant` arithmetic.
                                 deadline: Instant::now()
                                     + Duration::from_millis(wait_ms.min(86_400_000)),
-                            });
-                            shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                            drop(q);
-                            sq.wake.notify_one();
+                            };
+                            enqueue(shared, shard, item);
                         }
                         // A metrics probe fans out to every shard as a
                         // barrier; the countdown picks the answerer.
                         WireRequest::Metrics => {
                             let left = Arc::new(AtomicUsize::new(n_shards));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Probe {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
+                            broadcast(shared, || Item::Probe {
+                                conn,
+                                seq,
+                                left: Arc::clone(&left),
+                            });
                         }
                         // A session listing is a barrier too: every
                         // shard contributes its partition's names.
                         WireRequest::Sessions => {
                             let left = Arc::new(AtomicUsize::new(n_shards));
                             let acc = Arc::new(Mutex::new(Vec::new()));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Sessions {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                    acc: Arc::clone(&acc),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
+                            broadcast(shared, || Item::Sessions {
+                                conn,
+                                seq,
+                                left: Arc::clone(&left),
+                                acc: Arc::clone(&acc),
+                            });
                         }
                         // A trace drain is a barrier like a metrics
                         // probe: pipelined traced writes land first.
                         WireRequest::Trace => {
                             let left = Arc::new(AtomicUsize::new(n_shards));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Trace {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
+                            broadcast(shared, || Item::Trace {
+                                conn,
+                                seq,
+                                left: Arc::clone(&left),
+                            });
                         }
                         // Topology: every shard contributes its
                         // partition's replication positions.
                         WireRequest::Topology => {
                             let left = Arc::new(AtomicUsize::new(n_shards));
                             let acc = Arc::new(Mutex::new(Vec::new()));
-                            for sq in &shared.shards {
-                                let mut q = sq.queue.lock().expect("queue");
-                                q.push_back(Item::Topology {
-                                    conn,
-                                    seq,
-                                    left: Arc::clone(&left),
-                                    acc: Arc::clone(&acc),
-                                });
-                                shared.obs.queue_depth_hwm.raise(q.len() as u64);
-                                drop(q);
-                                sq.wake.notify_one();
-                            }
+                            broadcast(shared, || Item::Topology {
+                                conn,
+                                seq,
+                                left: Arc::clone(&left),
+                                acc: Arc::clone(&acc),
+                            });
                         }
                     }
                     seq += 1;
@@ -1027,10 +1066,11 @@ fn read_loop(conn: u64, mut stream: TcpStream, shared: &Arc<Shared>) {
                 if is_idle_timeout(&e) {
                     // A follower legitimately goes quiet once its
                     // streams are up; everyone else idle past the
-                    // timeout is dropped.  (A *partial* frame followed
-                    // by a stall still lands in the torn-stream arm: a
-                    // timeout mid-`read_exact` surfaces as a plain read
-                    // error only between frames.)
+                    // timeout is dropped.  Only a stall *between* frames
+                    // lands here: `read_frame` reports a stall after a
+                    // frame's first byte as a torn stream, which falls
+                    // through to the arm below even on a replication
+                    // connection.
                     if shared
                         .repl_conns
                         .lock()
@@ -1078,24 +1118,25 @@ fn drop_connection(conn: u64, shared: &Shared) {
     }
     // Tell every shard to drop the connection's subscriptions, so the
     // sessions stop deriving deltas nobody will receive.
-    for sq in &shared.shards {
-        let mut q = sq.queue.lock().expect("queue");
-        q.push_back(Item::Cancel { conn });
-        drop(q);
-        sq.wake.notify_one();
-    }
+    broadcast(shared, || Item::Cancel { conn });
 }
 
-/// The per-connection writer: pops wire-ordered frames and writes them.
-/// Socket back-pressure blocks this thread only — dispatchers and
-/// readers never wait on a peer.
+/// The per-connection writer: takes every wire-ordered frame queued
+/// since its last write (up to [`WRITE_BURST`] bytes) under one lock,
+/// encodes them into one reused buffer, and writes them with a single
+/// call.  Outbox budgets are settled only after the write, so a budget
+/// is released only once its bytes have left.  Socket back-pressure
+/// blocks this thread only — dispatchers and readers never wait on a
+/// peer.
 fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &Arc<Shared>) {
+    let mut frames: Vec<(Vec<u8>, Option<StreamKey>)> = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
     loop {
-        let (payload, budget) = {
+        {
             let mut st = slot.state.lock().expect("out state");
             loop {
-                if let Some(frame) = st.ready.pop_front() {
-                    break frame;
+                if !st.ready.is_empty() {
+                    break;
                 }
                 if st.closed {
                     return;
@@ -1114,16 +1155,41 @@ fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &A
                         let (guard, res) = slot.wake.wait_timeout(st, iv).expect("out state");
                         st = guard;
                         if res.timed_out() && st.ready.is_empty() && !st.closed {
-                            break (encode_heartbeat_payload(), None);
+                            frames.push((encode_heartbeat_payload(), None));
+                            break;
                         }
                     }
                     None => st = slot.wake.wait(st).expect("out state"),
                 }
             }
-        };
-        let ok = write_frame(&mut stream, &payload).is_ok();
+            // Take the burst; a frame that alone exceeds the ceiling
+            // still goes, alone.
+            let mut bytes = 0;
+            while let Some((payload, _)) = st.ready.front() {
+                let len = FRAME_HEADER + payload.len();
+                if !frames.is_empty() && bytes + len > WRITE_BURST {
+                    break;
+                }
+                bytes += len;
+                frames.extend(st.ready.pop_front());
+            }
+        }
+        // An over-limit payload cannot be framed: write what precedes
+        // it, then drop the connection as a failed write would.
+        let mut written = 0;
+        for (payload, _) in &frames {
+            if put_frame(&mut buf, payload).is_err() {
+                break;
+            }
+            written += 1;
+        }
+        let whole = written == frames.len();
+        let sent = !buf.is_empty() && stream.write_all(&buf).is_ok();
+        buf.clear();
+        buf.shrink_to(WRITE_BURST);
         let mut st = slot.state.lock().expect("out state");
-        if let Some(key) = budget {
+        for (_, budget) in frames.drain(..) {
+            let Some(key) = budget else { continue };
             if let Some(n) = st.queued.get_mut(&key) {
                 *n -= 1;
                 if *n == 0 {
@@ -1131,9 +1197,11 @@ fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &A
                 }
             }
         }
-        if ok {
-            shared.obs.frames_out.inc();
-        } else {
+        if sent {
+            shared.obs.frames_out.add(written as u64);
+            shared.obs.write_calls.inc();
+        }
+        if !(sent && whole) {
             st.closed = true;
             st.ready.clear();
             drop(st);
@@ -1455,7 +1523,7 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
         let mut probes: Vec<(u64, u64, Arc<AtomicUsize>)> = Vec::new();
         let mut cancels: Vec<u64> = Vec::new();
         let mut replicates: Vec<(u64, u64, String, u64, u64)> = Vec::new();
-        let mut applies: Vec<(String, ApplyKind, mpsc::Sender<ApplyReport>)> = Vec::new();
+        let mut applies: Vec<(ApplyBatch, mpsc::Sender<Vec<ApplyReport>>)> = Vec::new();
         let mut promotes: Vec<mpsc::Sender<Result<(), String>>> = Vec::new();
         let mut listings: Vec<ListingSlot> = Vec::new();
         let mut adopts: Vec<AdoptSlot> = Vec::new();
@@ -1499,11 +1567,7 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                     from_seq,
                     gen,
                 } => replicates.push((conn, seq, session, from_seq, gen)),
-                Item::Apply {
-                    session,
-                    kind,
-                    done,
-                } => applies.push((session, kind, done)),
+                Item::Apply { records, done } => applies.push((records, done)),
                 Item::Promote { done } => promotes.push(done),
                 Item::Sessions {
                     conn,
@@ -1692,32 +1756,10 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                 let _gate = shared.snap_gates[shard].lock().expect("snap gate");
                 // (Follower side) leader shipments land first, in the
                 // tail loop's queue order — the leader's commit order.
-                // The report goes straight back so the tail loop can
-                // resume from the session's authoritative position.
-                for (session, kind, done) in applies {
-                    let report = match service.session_mut(&session) {
-                        None => ApplyReport {
-                            gen: 0,
-                            last_seq: 0,
-                            outcome: Err(ApplyError::BadRecord {
-                                detail: format!("unknown session {session:?}"),
-                            }),
-                        },
-                        Some(s) => {
-                            let outcome = match kind {
-                                ApplyKind::Record(bytes, ctx) => {
-                                    s.apply_replicated_traced(&bytes, ctx)
-                                }
-                                ApplyKind::Reset(bytes) => s.apply_reset(&bytes),
-                            };
-                            ApplyReport {
-                                gen: s.wal_gen(),
-                                last_seq: s.wal_last_seq(),
-                                outcome,
-                            }
-                        }
-                    };
-                    let _ = done.send(report);
+                // The reports go straight back so the tail loop can
+                // resume from the sessions' authoritative positions.
+                for (records, done) in applies {
+                    let _ = done.send(apply_batch(&mut service, records));
                 }
                 let results = if batch.is_empty() {
                     Vec::new()

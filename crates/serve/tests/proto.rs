@@ -15,9 +15,10 @@ use compview_serve::proto::{
     encode_read_at_payload, encode_request_payload, encode_result_payload, encode_sessions_payload,
     encode_sessions_reply_payload, encode_topology_reply_payload, encode_topology_request_payload,
     encode_trace_request_payload, encode_trace_response_payload, encode_traced_request_payload,
-    encode_wal_frame_payload, is_event_payload, is_sessions_reply_payload,
-    is_topology_reply_payload, is_trace_reply_payload, read_frame, write_frame, SessionsReply,
-    TopoRole, TopoSession, TopologyReply, WalFrame, WireRequest, FRAME_HEADER, MAX_FRAME,
+    encode_wal_frame_payload, frame_buffered, is_event_payload, is_sessions_reply_payload,
+    is_topology_reply_payload, is_trace_reply_payload, put_frame, read_frame, write_frame,
+    SessionsReply, TopoRole, TopoSession, TopologyReply, WalFrame, WireRequest, FRAME_HEADER,
+    MAX_FRAME,
 };
 use compview_serve::ProtoError;
 use compview_session::{
@@ -27,7 +28,7 @@ use compview_session::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, ErrorKind, Read};
 
 fn rand_name(rng: &mut StdRng) -> String {
     let n = rng.random_range(0..12usize);
@@ -831,4 +832,191 @@ fn topology_reply_refuses_bad_role_byte() {
     let mut bytes = encode_topology_reply_payload(&reply);
     bytes[1] = 7; // role byte follows the marker
     assert!(decode_topology_reply_payload(&bytes).is_err());
+}
+
+// ------------------------------------------------- coalesced frames
+
+/// A byte source that hands its bytes out in arbitrary chunk sizes
+/// (cycled), the way a socket splits a stream at segment boundaries
+/// that have nothing to do with frames — and, once `stall_at` bytes are
+/// out, reports a read timeout instead of more bytes.
+struct Chunked {
+    bytes: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    next: usize,
+    stall_at: Option<usize>,
+}
+
+impl Chunked {
+    fn new(bytes: Vec<u8>, sizes: Vec<usize>) -> Chunked {
+        Chunked {
+            bytes,
+            pos: 0,
+            sizes,
+            next: 0,
+            stall_at: None,
+        }
+    }
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let end = self.stall_at.unwrap_or(self.bytes.len());
+        if self.stall_at.is_some() && self.pos == end {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let size = self.sizes[self.next % self.sizes.len()];
+        self.next += 1;
+        let n = size.min(buf.len()).min(end - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Random payloads: empty ones, short ones, and ones of several KiB
+/// (larger than most chunks, some larger than the read buffer's free
+/// tail).
+fn rand_payloads(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    (0..rng.random_range(0..12usize))
+        .map(|_| {
+            let len = match rng.random_range(0..4u32) {
+                0 => 0,
+                1 => rng.random_range(1..16usize),
+                2 => rng.random_range(16..512usize),
+                _ => rng.random_range(2048..9000usize),
+            };
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Frames coalesced into one buffer with `put_frame` are the bytes of
+    /// one `write_frame` per payload, and read back — through a buffered
+    /// reader over a source that splits the stream anywhere — as the
+    /// identical payloads, then a clean end-of-stream.  Before every
+    /// read, `frame_buffered` on the reader's buffer says whether the
+    /// next frame is already whole in it.
+    #[test]
+    fn coalesced_frames_read_back_through_any_chunking(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payloads = rand_payloads(&mut rng);
+        let mut wire = Vec::new();
+        let mut one_by_one = Vec::new();
+        for p in &payloads {
+            put_frame(&mut wire, p).unwrap();
+            write_frame(&mut one_by_one, p).unwrap();
+        }
+        prop_assert_eq!(&wire, &one_by_one);
+
+        let sizes: Vec<usize> = (0..rng.random_range(1..6usize))
+            .map(|_| rng.random_range(1..3000usize))
+            .collect();
+        let capacity = [16 << 10, rng.random_range(FRAME_HEADER..4096)][rng.random_range(0..2usize)];
+        let mut r = BufReader::with_capacity(capacity, Chunked::new(wire, sizes));
+        for p in &payloads {
+            let whole = r.buffer().len() >= FRAME_HEADER + p.len();
+            prop_assert_eq!(frame_buffered(r.buffer()), whole);
+            let got = read_frame(&mut r).unwrap().unwrap();
+            prop_assert_eq!(&got, p);
+        }
+        prop_assert!(!frame_buffered(r.buffer()));
+        prop_assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// A coalesced stream cut anywhere reads every frame wholly before
+    /// the cut, then a clean end-of-stream if the cut is on a frame
+    /// boundary and a torn stream (`UnexpectedEof`) if it is not.
+    #[test]
+    fn coalesced_stream_cut_mid_frame_reads_as_torn(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payloads = rand_payloads(&mut rng);
+        let mut wire = Vec::new();
+        let mut ends = Vec::new();
+        for p in &payloads {
+            put_frame(&mut wire, p).unwrap();
+            ends.push(wire.len());
+        }
+        let cut = rng.random_range(0..wire.len() + 1);
+        wire.truncate(cut);
+        let sizes = vec![rng.random_range(1..5000usize)];
+        let mut r = BufReader::with_capacity(16 << 10, Chunked::new(wire, sizes));
+        for (p, _) in payloads.iter().zip(&ends).take_while(|(_, &end)| end <= cut) {
+            prop_assert_eq!(&read_frame(&mut r).unwrap().unwrap(), p);
+        }
+        match read_frame(&mut r) {
+            Ok(None) => prop_assert!(cut == 0 || ends.contains(&cut)),
+            Err(ProtoError::Io(e)) => {
+                prop_assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+                prop_assert!(!ends.contains(&cut) && cut != 0);
+            }
+            other => prop_assert!(false, "cut at {}: {:?}", cut, other),
+        }
+    }
+}
+
+/// `frame_buffered` is true exactly when a whole frame is buffered:
+/// never on a partial header, true at the header-only boundary of an
+/// empty payload and false there for a non-empty one, and true from the
+/// frame's last byte on, whatever follows it.
+#[test]
+fn frame_buffered_is_true_exactly_at_a_whole_frame() {
+    for payload in [&[][..], &[7u8][..], &[1u8; 300][..]] {
+        let mut frame = Vec::new();
+        put_frame(&mut frame, payload).unwrap();
+        for k in 0..=frame.len() {
+            assert_eq!(
+                frame_buffered(&frame[..k]),
+                k == frame.len(),
+                "payload {} bytes, {k} bytes buffered",
+                payload.len()
+            );
+        }
+        let mut two = frame.clone();
+        put_frame(&mut two, b"next").unwrap();
+        for k in frame.len()..=two.len() {
+            assert!(frame_buffered(&two[..k]), "{k} bytes buffered");
+        }
+    }
+}
+
+/// `put_frame` refuses an over-limit payload and appends nothing, so a
+/// coalescing writer's buffer keeps only whole frames.
+#[test]
+fn put_frame_refuses_oversize_and_appends_nothing() {
+    let mut buf = Vec::new();
+    put_frame(&mut buf, b"kept").unwrap();
+    let before = buf.clone();
+    let payload = vec![0u8; MAX_FRAME as usize + 1];
+    let err = put_frame(&mut buf, &payload).unwrap_err();
+    assert!(matches!(err, ProtoError::TooLarge { .. }), "{err}");
+    assert_eq!(buf, before);
+}
+
+/// A read timeout before a frame's first byte is the socket's own idle
+/// error; once any byte of the frame has been consumed — header or
+/// payload — the same timeout is a torn stream, because the rest of the
+/// frame could no longer be told from a new one.
+#[test]
+fn a_stall_inside_a_frame_is_torn_not_idle() {
+    let mut frame = Vec::new();
+    put_frame(&mut frame, b"0123456789").unwrap();
+    for stall_at in 0..frame.len() {
+        let mut src = Chunked::new(frame.clone(), vec![3]);
+        src.stall_at = Some(stall_at);
+        let mut r = BufReader::with_capacity(16 << 10, src);
+        match read_frame(&mut r) {
+            Err(ProtoError::Io(e)) if stall_at == 0 => {
+                assert_eq!(e.kind(), ErrorKind::WouldBlock, "idle before the frame");
+            }
+            Err(ProtoError::Io(e)) => {
+                assert_eq!(e.kind(), ErrorKind::UnexpectedEof, "stall at {stall_at}");
+            }
+            other => panic!("stall at {stall_at}: {other:?}"),
+        }
+    }
 }

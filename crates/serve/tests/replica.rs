@@ -9,16 +9,20 @@ use compview_core::SubschemaComponents;
 use compview_logic::Schema;
 use compview_obs::{DistTracer, MetricsSnapshot, SpanRecord, TraceCtx};
 use compview_relation::{rel, v, Instance, RelDecl, Signature, Tuple};
+use compview_serve::proto::{
+    encode_replicate_payload, encode_sessions_payload, is_replicate_ack_payload, read_frame,
+    write_frame,
+};
 use compview_serve::{
     Client, Mirror, MirrorSpec, ProtoError, Replica, ReplicaOptions, ServeOptions, Server,
 };
 use compview_session::{
-    wal, ApplyError, CatchupPlan, CheckpointPolicy, DispatchError, FsStore, MemStore, Service,
-    Session, SessionConfig, SessionError, SessionRequest, SyncPolicy,
+    shard_of, wal, ApplyError, CatchupPlan, CheckpointPolicy, DispatchError, FsStore, MemStore,
+    Service, Session, SessionConfig, SessionError, SessionRequest, SyncPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -73,8 +77,16 @@ fn test_dir(tag: &str) -> PathBuf {
 }
 
 fn durable_service(dir: &Path, checkpoint: CheckpointPolicy) -> Service<SubschemaComponents> {
+    durable_service_of(dir, &SESSIONS, checkpoint)
+}
+
+fn durable_service_of(
+    dir: &Path,
+    names: &[&str],
+    checkpoint: CheckpointPolicy,
+) -> Service<SubschemaComponents> {
     let mut svc = Service::new();
-    for name in SESSIONS {
+    for &name in names {
         let sig = sig();
         svc.create_durable_session(
             dir,
@@ -113,7 +125,11 @@ fn demo_service() -> Service<SubschemaComponents> {
 }
 
 fn wal_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    SESSIONS
+    wal_files_of(dir, &SESSIONS)
+}
+
+fn wal_files_of(dir: &Path, names: &[&str]) -> BTreeMap<String, Vec<u8>> {
+    names
         .iter()
         .map(|n| {
             (
@@ -127,19 +143,23 @@ fn wal_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 /// Poll until the follower's WAL files are byte-identical to the
 /// leader's (writes must have quiesced on the leader side).
 fn wait_converged(ldir: &Path, fdir: &Path) {
+    wait_converged_of(ldir, fdir, &SESSIONS);
+}
+
+fn wait_converged_of(ldir: &Path, fdir: &Path, names: &[&str]) {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if wal_files(ldir) == wal_files(fdir) {
+        if wal_files_of(ldir, names) == wal_files_of(fdir, names) {
             return;
         }
         assert!(
             Instant::now() < deadline,
             "follower never converged: leader {:?} vs follower {:?}",
-            wal_files(ldir)
+            wal_files_of(ldir, names)
                 .iter()
                 .map(|(n, b)| (n.clone(), b.len()))
                 .collect::<Vec<_>>(),
-            wal_files(fdir)
+            wal_files_of(fdir, names)
                 .iter()
                 .map(|(n, b)| (n.clone(), b.len()))
                 .collect::<Vec<_>>()
@@ -563,6 +583,131 @@ fn run_fault_scenario(threads: usize, shards: usize) {
 }
 
 // ---------------------------------------------------------------------
+// Batched applies on a sharded follower
+// ---------------------------------------------------------------------
+
+/// Pipeline `rounds` updates into every session of `names`, alternating
+/// two states (each update is one durable record), and collect the acks.
+fn write_burst(client: &mut Client, names: &[&str], rounds: std::ops::Range<u32>) {
+    let mut owed = 0;
+    for round in rounds {
+        for &name in names {
+            let tuples: &[&str] = if round % 2 == 0 {
+                &["a2"]
+            } else {
+                &["a1", "a2"]
+            };
+            client.send(name, &update_r(tuples)).unwrap();
+            owed += 1;
+        }
+    }
+    for _ in 0..owed {
+        client.recv().unwrap().unwrap();
+    }
+}
+
+/// A follower bound with two shards applies shipments in batches —
+/// every WAL frame already whole in its read buffer — in its initial
+/// sync and in the tail, where `enqueue_apply` splits each batch by
+/// owning shard.  It converges byte-identical after a catch-up of 200+
+/// records, after a cut-off burst, and after a live pipelined burst over
+/// sessions on both shards, with no record refused and fewer batches
+/// than records.
+#[test]
+fn sharded_follower_applies_bursts_in_batches() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+    let shards: BTreeSet<usize> = NAMES.iter().map(|n| shard_of(n, 2)).collect();
+    assert_eq!(shards.len(), 2, "the sessions must span both shards");
+    let ldir = test_dir("batch-leader");
+    let fdir = test_dir("batch-follower");
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        durable_service_of(&ldir, &NAMES, CheckpointPolicy::default()),
+        leader_options(2),
+    )
+    .unwrap();
+    let leader_addr = server.local_addr().to_string();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for name in NAMES {
+        client.request(name, &register_r()).unwrap().unwrap();
+    }
+    // 4 × 60 records before the follower exists: its initial sync
+    // catches them up.
+    write_burst(&mut client, &NAMES, 0..60);
+
+    let proxy = Proxy::start(leader_addr.clone());
+    let replica = Replica::start(
+        "127.0.0.1:0",
+        &proxy.addr.to_string(),
+        durable_service_of(&fdir, &NAMES, CheckpointPolicy::default()),
+        ReplicaOptions {
+            serve: ServeOptions {
+                shards: 2,
+                ..ServeOptions::default()
+            },
+            ..replica_options(fault_seed())
+        },
+    )
+    .unwrap();
+    wait_converged_of(&ldir, &fdir, &NAMES);
+
+    // Cut the follower off (the proxy now dials a dead port), write a
+    // second burst, then let it back in: the burst arrives as tail-phase
+    // catch-up.
+    let dead = {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    proxy.set_upstream(dead);
+    proxy.sever_live();
+    write_burst(&mut client, &NAMES, 60..100);
+    proxy.set_upstream(leader_addr);
+    wait_converged_of(&ldir, &fdir, &NAMES);
+
+    // A live burst: both leader shards ship at once, so the follower's
+    // batches mix sessions of both of its shards.
+    write_burst(&mut client, &NAMES, 100..140);
+    wait_converged_of(&ldir, &fdir, &NAMES);
+
+    let mut fclient = Client::connect(replica.local_addr()).unwrap();
+    for name in NAMES {
+        let l = client.request(name, &read_r()).unwrap();
+        let f = fclient.request(name, &read_r()).unwrap();
+        assert_eq!(
+            wal::encode_result(&l),
+            wal::encode_result(&f),
+            "{name}: leader read {l:?} vs follower read {f:?}"
+        );
+    }
+    let snap = fclient.metrics().unwrap();
+    let applied = counter(&snap, "repl.records_applied");
+    let batches = counter(&snap, "repl.apply_batches");
+    assert_eq!(counter(&snap, "repl.bad_records"), 0, "{:?}", snap.counters);
+    assert!(applied >= 4 * 140, "records applied: {applied}");
+    assert!(
+        batches >= 3 && batches < applied,
+        "{batches} apply batches for {applied} records"
+    );
+    assert!(replica.fault().is_none(), "{:?}", replica.fault());
+
+    drop(client);
+    drop(fclient);
+    let fsvc = replica.shutdown();
+    let lsvc = server.shutdown();
+    for name in NAMES {
+        assert_eq!(
+            lsvc.session(name).unwrap().state(),
+            fsvc.session(name).unwrap().state(),
+            "{name}: final states must match"
+        );
+    }
+    drop(proxy);
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}
+
+// ---------------------------------------------------------------------
 // Explicit failover
 // ---------------------------------------------------------------------
 
@@ -897,6 +1042,80 @@ fn idle_connections_are_reaped_and_counted() {
 
     drop(healthy);
     server.shutdown();
+}
+
+/// A stall *inside* a frame is a torn stream, not an idle gap — even on
+/// a connection whose replication stream exempts it from idle reaping.
+/// The server must hang up within the read timeout (plus slack) while
+/// the rest of the frame is still unsent, never resume parsing with the
+/// frame's tail as a new header.
+#[test]
+fn a_stall_mid_frame_is_torn_even_on_a_replication_connection() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let dir = test_dir("torn-stall");
+    let timeout = Duration::from_millis(100);
+    let opts = ServeOptions {
+        read_timeout: Some(timeout),
+        ..ServeOptions::default()
+    };
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        durable_service(&dir, CheckpointPolicy::default()),
+        opts,
+    )
+    .unwrap();
+
+    let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+    let mut hs = [0u8; 6];
+    peer.read_exact(&mut hs).unwrap();
+    peer.write_all(b"CVRPC1").unwrap();
+    // Open a replication stream; its ack proves the connection is now
+    // exempt from the idle timeout.
+    write_frame(&mut peer, &encode_replicate_payload("alpha", 0, 0)).unwrap();
+    let ack = read_frame(&mut peer).unwrap().unwrap();
+    assert!(
+        is_replicate_ack_payload(&ack),
+        "first frame back is the ack"
+    );
+
+    // Five bytes of a `Sessions` request frame, then silence.
+    let mut sessions = Vec::new();
+    write_frame(&mut sessions, &encode_sessions_payload()).unwrap();
+    peer.write_all(&sessions[..5]).unwrap();
+    let stalled_at = Instant::now();
+
+    // Drain whatever the stream ships until the server hangs up.
+    peer.set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let slack = Duration::from_millis(1900);
+    let mut buf = [0u8; 4096];
+    let closed = loop {
+        match peer.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break true,
+        }
+        if stalled_at.elapsed() > timeout + slack {
+            break false;
+        }
+    };
+    assert!(
+        closed,
+        "a stall {} bytes into a frame must end the connection within {:?}",
+        5,
+        timeout + slack
+    );
+
+    // Everyone else is still served.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .request("alpha", &SessionRequest::Stats)
+        .unwrap()
+        .unwrap();
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

@@ -66,6 +66,16 @@ echo "==> cargo test -p compview-serve --test replica (WAL shipping, COMPVIEW_FA
 COMPVIEW_FAULT_SEED="${COMPVIEW_FAULT_SEED:-20260806}" \
     cargo test -q -p compview-serve --test replica
 
+# Writers coalesce frames into one socket write and followers apply
+# whatever is already buffered as one batch, so a cut or a bit flip can
+# land anywhere inside a multi-frame burst or an apply batch.  One seed
+# checks one set of placements: run the headline fault scenario under a
+# second fixed seed too.
+echo "==> replica fault scenario under a second seed (COMPVIEW_FAULT_SEED=20261017)"
+COMPVIEW_FAULT_SEED=20261017 \
+    cargo test -q -p compview-serve --test replica -- --exact \
+    follower_converges_byte_identical_under_cuts_flips_and_leader_restart
+
 echo "==> cargo build --example session --example recovery --example serve --benches"
 cargo build --example session --example recovery --example serve
 cargo build --benches -p compview-bench
