@@ -1,27 +1,21 @@
 //! E15: sharded dispatch — write throughput vs dispatcher shard count.
 //!
-//! Two views of the same question.  `dispatch_x32` is the in-process
-//! core: a `ShardedService` fans one 32-request batch (round-robin over
-//! 8 in-memory sessions) across its shards, so its mean divided by 32 is
-//! the per-request dispatch cost with no wire in the way.  `wire_x32`
-//! is the full server: 8 **durable** sessions (fsync-per-record policy,
-//! group commit amortising it), one pipelined connection, 32 updates per
-//! iteration scattered over every session — the multi-core write path of
-//! DESIGN.md §12.  On an N-core box throughput should scale until shards
-//! exceed min(cores, sessions); on one core the curves stay flat and the
-//! sweep prices pure sharding overhead instead.
+//! `wire_x32` is the full server: 8 **durable** sessions
+//! (fsync-per-record policy, group commit amortising it), one pipelined
+//! connection, 32 updates per iteration scattered over every session —
+//! the multi-core write path of DESIGN.md §12.  On an N-core box
+//! throughput should scale until shards exceed min(cores, sessions); on
+//! one core the curves stay flat and the sweep prices pure sharding
+//! overhead instead.
 
 use compview_bench::header;
 use compview_core::SubschemaComponents;
 use compview_logic::Schema;
 use compview_relation::{rel, v, Instance, RelDecl, Signature, Tuple};
 use compview_serve::{Client, Server};
-use compview_session::{
-    Service, Session, SessionConfig, SessionRequest, ShardedService, SyncPolicy,
-};
+use compview_session::{Service, SessionConfig, SessionRequest, SyncPolicy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::path::Path;
 
 const SESSIONS: usize = 8;
@@ -43,35 +37,6 @@ fn pools() -> BTreeMap<String, Vec<Tuple>> {
         ),
     ]
     .into()
-}
-
-fn open_session() -> Session<SubschemaComponents> {
-    let sig = sig();
-    let mut session = Session::open(
-        SubschemaComponents::singletons(sig.clone()),
-        Schema::unconstrained(sig.clone()),
-        &pools(),
-        Instance::null_model(&sig).with("R", rel(1, [["a0"]])),
-        SessionConfig::default(),
-    )
-    .unwrap();
-    session
-        .serve(SessionRequest::RegisterView {
-            name: "r".into(),
-            mask: 0b01,
-        })
-        .unwrap();
-    session
-    // same 256-state space as the session/wal/serve benches
-}
-
-/// 8 in-memory sessions, view registered.
-fn memory_service() -> Service<SubschemaComponents> {
-    let mut svc = Service::new();
-    for i in 0..SESSIONS {
-        svc.add_session(format!("s{i}"), open_session()).unwrap();
-    }
-    svc
 }
 
 /// 8 durable sessions (WAL + fsync-per-record), view registered.
@@ -129,19 +94,6 @@ fn bench_sharded(c: &mut Criterion) {
         "sharded dispatch: write throughput vs dispatcher shard count",
     );
     let mut group = c.benchmark_group("sharded");
-
-    // In-process: ShardedService::dispatch, no wire.
-    for shards in [1usize, 2, 4, 8] {
-        let mut sharded = ShardedService::new(memory_service(), shards);
-        let mut flip = false;
-        group.bench_function(format!("dispatch_x32/shards={shards}"), |b| {
-            b.iter(|| {
-                flip = !flip;
-                black_box(sharded.dispatch(write_batch(flip)))
-            })
-        });
-        sharded.into_service();
-    }
 
     // Full server: durable sessions, one pipelined connection, group
     // commit per shard per drain.

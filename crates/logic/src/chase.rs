@@ -158,11 +158,10 @@ pub fn chase(
     chase_observed(inst, tgds, egds, config, &crate::obs::ChaseObs::noop())
 }
 
-/// [`chase`] with instrumentation: tallies runs/rounds, records the
-/// per-round delta size and whole-run wall time, and emits a `"chase"`
-/// span plus one `"chase.round"` instant per round (carrying the delta
-/// size) when the bundle's tracer is enabled.  The produced instance is
-/// byte-identical to [`chase`]'s — observation never steers the engine.
+/// [`chase`] with instrumentation: tallies runs/rounds and records the
+/// per-round delta size and whole-run wall time.  The produced instance
+/// is byte-identical to [`chase`]'s — observation never steers the
+/// engine.
 pub fn chase_observed(
     inst: &Instance,
     tgds: &[Tgd],
@@ -171,7 +170,6 @@ pub fn chase_observed(
     obs: &crate::obs::ChaseObs,
 ) -> Result<Instance, ChaseError> {
     let run_timer = obs.run_ns.start();
-    let _span = obs.tracer.span("chase", tgds.len() as u64);
     let mut out = inst.clone();
     let mut index = TupleIndex::build(&out);
     let mut fresh = FreshGen {
@@ -201,7 +199,6 @@ pub fn chase_observed(
         obs.rounds.inc();
         let delta_size = delta.values().map(Vec::len).sum::<usize>() as u64;
         obs.delta_tuples.record(delta_size);
-        obs.tracer.instant("chase.round", delta_size);
         let mut additions: Vec<(String, Tuple)> = Vec::new();
         for (tgd, plan) in tgds.iter().zip(&plans) {
             // A body atom over an empty (or absent) relation can never

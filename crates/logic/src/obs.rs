@@ -7,7 +7,7 @@
 //! happened to run or on the thread count.  Bundles built with `noop()`
 //! cost a branch per hit; callers that do not care pass those.
 
-use compview_obs::{Counter, Histogram, Registry, Tracer};
+use compview_obs::{Counter, Histogram, Registry};
 
 /// Instruments for [`crate::chase::chase_observed`].
 #[derive(Clone, Default)]
@@ -21,9 +21,6 @@ pub struct ChaseObs {
     pub delta_tuples: Histogram,
     /// Wall time of whole chase runs, nanoseconds.
     pub run_ns: Histogram,
-    /// Span/instant sink ("chase" spans, "chase.round" instants carrying
-    /// the round's delta size).
-    pub tracer: Tracer,
 }
 
 impl ChaseObs {
@@ -39,7 +36,6 @@ impl ChaseObs {
             rounds: registry.counter("chase.rounds"),
             delta_tuples: registry.histogram("chase.delta_tuples"),
             run_ns: registry.histogram("chase.run_ns"),
-            tracer: registry.tracer(),
         }
     }
 }
@@ -57,8 +53,6 @@ pub struct EnumObs {
     pub shard_ns: Histogram,
     /// Wall time of whole enumerations, nanoseconds.
     pub run_ns: Histogram,
-    /// Span sink ("enum" spans carrying the combo count).
-    pub tracer: Tracer,
 }
 
 impl EnumObs {
@@ -74,7 +68,6 @@ impl EnumObs {
             states: registry.counter("enum.states"),
             shard_ns: registry.histogram("enum.shard_ns"),
             run_ns: registry.histogram("enum.run_ns"),
-            tracer: registry.tracer(),
         }
     }
 }

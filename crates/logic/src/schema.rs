@@ -286,12 +286,10 @@ impl Schema {
     }
 
     /// [`Schema::enumerate_ldb_detailed`] with instrumentation: tallies
-    /// runs and produced states, records per-shard and whole-run wall
-    /// times, and emits an `"enum"` span carrying the combo count when
-    /// the bundle's tracer is enabled.  The output is byte-identical to
-    /// the unobserved call — per-shard timing happens inside each
-    /// worker's closure and never affects the shard-ordered
-    /// concatenation.
+    /// runs and produced states and records per-shard and whole-run wall
+    /// times.  The output is byte-identical to the unobserved call —
+    /// per-shard timing happens inside each worker's closure and never
+    /// affects the shard-ordered concatenation.
     pub fn enumerate_ldb_observed(
         &self,
         pools: &BTreeMap<String, Vec<Tuple>>,
@@ -334,7 +332,6 @@ impl Schema {
                 state_combos: Vec::new(),
             };
         }
-        let _span = obs.tracer.span("enum", combos as u64);
         let picked = compview_parallel::sharded_collect(combos, config.threads, |range| {
             let shard_timer = obs.shard_ns.start();
             let mut out = Vec::new();

@@ -2,13 +2,14 @@
 //! boundaries, plus the codec'd [`TraceSnapshot`] the `Trace` wire verb
 //! ships.
 //!
-//! The local [`crate::Tracer`] is a per-process ring buffer with
-//! `&'static str` labels — cheap, but it stops at the process boundary.
-//! This module adds the cross-node half: a [`TraceCtx`]
-//! (`trace_id`, `parent_span`) travels on the wire, and every hop that
-//! holds a configured [`DistTracer`] records owned [`SpanRecord`]s into
-//! a drainable buffer.  A cross-process trace is assembled by draining
+//! This is the stack's one tracer.  A [`TraceCtx`] (`trace_id`,
+//! `parent_span`) travels on the wire, and every hop that holds a
+//! configured [`DistTracer`] records owned [`SpanRecord`]s into a
+//! drainable buffer.  A cross-process trace is assembled by draining
 //! each node's buffer and joining spans on `trace_id` / `parent_span`.
+//! Aggregate timings that need no causal link (WAL append and fsync,
+//! per-variant serve latency, chase and enumeration runs) are
+//! histograms and counters on the [`crate::Registry`] instead.
 //!
 //! ## Head sampling
 //!
@@ -26,13 +27,14 @@
 //! length-prefixed UTF-8 strings, and a CRC-32 trailer over everything
 //! before it.  Corruption is rejected, never misread.
 
-use crate::crc32;
+use crate::{crc32, Counter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Spans buffered per tracer before new ones are dropped (a drain
-/// resets the budget).  Bounds memory under always-on sampling.
+/// resets the budget).  Bounds memory under always-on sampling; a
+/// registry's tracer counts what it drops in `obs.dtrace.dropped`.
 pub const DTRACE_CAP: usize = 1 << 16;
 
 /// The trace context a request carries across the wire: which trace it
@@ -95,6 +97,7 @@ struct DtInner {
     node_hash: AtomicU64,
     sample_one_in: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
+    dropped: Counter,
 }
 
 /// A drainable buffer of distributed spans plus this node's sampling
@@ -114,12 +117,19 @@ impl DistTracer {
     /// A fresh, unconfigured tracer (sampling off until
     /// [`DistTracer::configure`]).
     pub fn new() -> DistTracer {
+        DistTracer::counting(Counter::noop())
+    }
+
+    /// [`DistTracer::new`], counting each span dropped on a full buffer
+    /// in `dropped`.
+    pub(crate) fn counting(dropped: Counter) -> DistTracer {
         DistTracer {
             inner: Some(Arc::new(DtInner {
                 node: Mutex::new(String::new()),
                 node_hash: AtomicU64::new(0),
                 sample_one_in: AtomicU64::new(0),
                 spans: Mutex::new(Vec::new()),
+                dropped,
             })),
         }
     }
@@ -207,6 +217,8 @@ impl DistTracer {
             let mut spans = inner.spans.lock().expect("dtrace lock");
             if spans.len() < DTRACE_CAP {
                 spans.push(rec);
+            } else {
+                inner.dropped.inc();
             }
         }
     }
@@ -727,6 +739,34 @@ mod tests {
         assert_eq!(t.drain().spans.len(), DTRACE_CAP);
         // Draining resets the budget.
         t.instant(ctx, "e");
+        assert_eq!(t.drain().spans.len(), 1);
+    }
+
+    #[test]
+    fn a_registry_counts_every_span_a_full_buffer_drops() {
+        // Registered eagerly: a fresh registry's snapshot already has it.
+        let fresh = crate::Registry::new().snapshot();
+        assert!(fresh
+            .counters
+            .iter()
+            .any(|(n, v)| n == "obs.dtrace.dropped" && *v == 0));
+
+        let registry = crate::Registry::new();
+        let dropped = registry.counter("obs.dtrace.dropped");
+        let t = registry.dtracer();
+        t.configure("n", 1);
+        let ctx = TraceCtx {
+            trace_id: 0,
+            parent_span: 0,
+        };
+        for _ in 0..(DTRACE_CAP + 3) {
+            t.instant(ctx, "e");
+        }
+        assert_eq!(dropped.get(), 3);
+        assert_eq!(t.drain().spans.len(), DTRACE_CAP);
+        // A drain makes room again: the next span is kept, not dropped.
+        t.instant(ctx, "e");
+        assert_eq!(dropped.get(), 3);
         assert_eq!(t.drain().spans.len(), 1);
     }
 

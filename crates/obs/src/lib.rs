@@ -2,8 +2,8 @@
 //!
 //! Runtime observability for the compview stack: lock-free counters,
 //! gauges, and log-bucketed latency histograms behind a [`Registry`],
-//! plus a fixed-capacity ring-buffer [`Tracer`] for span-style
-//! per-request breakdowns.
+//! plus a [`DistTracer`] for causally linked, sampled spans that cross
+//! process boundaries.
 //!
 //! The crate is std-only and dependency-free so every other crate in the
 //! workspace (including `compview-logic` and `compview-core`, which sit
@@ -37,7 +37,6 @@ mod dtrace;
 mod hist;
 mod reservoir;
 mod snapshot;
-mod trace;
 
 pub use dtrace::{
     DecodeTraceError, DistSpan, DistTracer, SpanRecord, TraceCtx, TraceSnapshot, DTRACE_CAP,
@@ -45,7 +44,6 @@ pub use dtrace::{
 pub use hist::{bucket_floor, bucket_index, Histogram, HistogramSnapshot};
 pub use reservoir::{Reservoir, ReservoirSnapshot, RESERVOIR_CAP};
 pub use snapshot::{DecodeMetricsError, MetricsSnapshot};
-pub use trace::{SpanGuard, TraceEvent, TraceKind, Tracer};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,7 +150,6 @@ struct Inner {
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<hist::HistCore>>>,
     reservoirs: Mutex<BTreeMap<String, Arc<reservoir::ReservoirCore>>>,
-    tracer: Tracer,
     dtracer: DistTracer,
 }
 
@@ -177,16 +174,19 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An enabled registry.
+    /// An enabled registry.  It starts with one counter,
+    /// `obs.dtrace.dropped`: the spans its [`DistTracer`] discarded
+    /// because its buffer was full.
     pub fn new() -> Registry {
+        let dropped = Arc::new(AtomicU64::new(0));
+        let counters = BTreeMap::from([("obs.dtrace.dropped".to_owned(), Arc::clone(&dropped))]);
         Registry {
             inner: Some(Arc::new(Inner {
-                counters: Mutex::new(BTreeMap::new()),
+                counters: Mutex::new(counters),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 reservoirs: Mutex::new(BTreeMap::new()),
-                tracer: Tracer::new(),
-                dtracer: DistTracer::new(),
+                dtracer: DistTracer::counting(Counter(Some(dropped))),
             })),
         }
     }
@@ -245,15 +245,6 @@ impl Registry {
                 let mut map = inner.reservoirs.lock().expect("obs lock");
                 Reservoir::from_core(Arc::clone(map.entry(name.to_owned()).or_default()))
             }
-        }
-    }
-
-    /// The registry's event tracer (a no-op tracer on a disabled
-    /// registry).  Tracing is off until [`Tracer::enable`] is called.
-    pub fn tracer(&self) -> Tracer {
-        match &self.inner {
-            None => Tracer::noop(),
-            Some(inner) => inner.tracer.clone(),
         }
     }
 
@@ -410,7 +401,8 @@ mod tests {
         reg.histogram("b.lat").record(10);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a.first", "z.last"]);
+        // `obs.dtrace.dropped` is registered with every registry.
+        assert_eq!(names, ["a.first", "obs.dtrace.dropped", "z.last"]);
         assert_eq!(snap.counters[0].1, 2);
         assert_eq!(snap.gauges[0].0, "m.middle");
         assert_eq!(snap.histograms[0].0, "b.lat");

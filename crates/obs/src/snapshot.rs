@@ -569,8 +569,8 @@ mod tests {
         let snap = sample();
         assert_eq!(
             snap.content_ordering(),
-            "counter serve.frames_in\ncounter session.requests\n\
-             gauge serve.queue_depth_hwm\nhistogram wal.fsync_ns\n\
+            "counter obs.dtrace.dropped\ncounter serve.frames_in\n\
+             counter session.requests\ngauge serve.queue_depth_hwm\nhistogram wal.fsync_ns\n\
              quantiles session.serve.update_tail_ns\n"
         );
     }

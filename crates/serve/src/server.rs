@@ -71,16 +71,20 @@
 //! requests and reads nothing owes the transport that memory; the cap
 //! bounds only the unsolicited stream.
 //!
-//! # Metrics across shards
+//! # Barriers across shards
 //!
-//! A `Metrics` probe is a **barrier**: the reader enqueues it on every
-//! shard, each dispatcher passes it only after applying the requests it
-//! drained alongside it, and the last dispatcher through takes one
-//! snapshot per shard registry — each under that shard's snapshot gate,
-//! so it always lands on a batch boundary, never mid-batch — and merges
-//! them ([`MetricsSnapshot::merged`]).  A probe pipelined behind N
-//! requests on one connection therefore observes all N, and every
-//! snapshot it returns is post-batch consistent per shard.
+//! `Metrics`, `Sessions`, `Trace` and `Topology` answer for the whole
+//! node, so each is one **barrier** ([`Item::Barrier`]): the reader
+//! enqueues it on every shard, each dispatcher passes it only after
+//! applying the requests it drained alongside it, adding its partition's
+//! durable `(session, gen, last_seq)` rows, and the last dispatcher
+//! through builds the verb's reply.  A `Metrics` reply merges one
+//! snapshot per shard registry ([`MetricsSnapshot::merged`]), each taken
+//! under that shard's snapshot gate, so it always lands on a batch
+//! boundary, never mid-batch; a `Trace` reply drains and merges every
+//! shard's span buffer; `Sessions` and `Topology` answer from the rows.
+//! Any of the four pipelined behind N requests on one connection
+//! therefore observes all N.
 
 use crate::proto::{
     decode_wire_request, encode_event_payload, encode_heartbeat_payload,
@@ -204,18 +208,17 @@ pub(crate) struct ApplyReport {
     pub outcome: Result<u64, ApplyError>,
 }
 
-/// A parked `Sessions` listing mid-fan-out: the requesting connection
-/// and seq, the countdown across shards, and the accumulated names.
-type ListingSlot = (u64, u64, Arc<AtomicUsize>, Arc<Mutex<Vec<String>>>);
+/// One durable session's WAL position: `(name, gen, last_seq)`.
+type Row = (String, u64, u64);
 
-/// A parked `Topology` probe mid-fan-out: like [`ListingSlot`], but each
-/// shard contributes `(session, gen, applied_seq)` rows.
-type TopoSlot = (
-    u64,
-    u64,
-    Arc<AtomicUsize>,
-    Arc<Mutex<Vec<(String, u64, u64)>>>,
-);
+/// The node-wide verb an [`Item::Barrier`] answers.
+#[derive(Clone, Copy)]
+enum Verb {
+    Metrics,
+    Sessions,
+    Trace,
+    Topology,
+}
 
 /// A parked session adoption: the name, the boxed `Session<F>` in
 /// transit to its shard, and the channel the outcome is acked on.
@@ -239,13 +242,16 @@ enum Item {
         req: SessionRequest,
         trace: Option<(TraceCtx, Instant)>,
     },
-    /// A metrics probe (enqueued on *every* shard); `left` counts the
-    /// shards that have not yet passed it.  Whoever decrements it to
-    /// zero answers.
-    Probe {
+    /// A node-wide verb (enqueued on *every* shard): each dispatcher adds
+    /// its partition's durable positions to `rows` after applying what
+    /// it drained alongside, and whoever decrements `left` to zero
+    /// answers `verb` for the whole node.
+    Barrier {
         conn: u64,
         seq: u64,
+        verb: Verb,
         left: Arc<AtomicUsize>,
+        rows: Arc<Mutex<Vec<Row>>>,
     },
     /// A connection died (enqueued on *every* shard): drop its
     /// subscriptions from the sessions so they stop publishing.
@@ -273,16 +279,6 @@ enum Item {
     Promote {
         done: mpsc::Sender<Result<(), String>>,
     },
-    /// A session-listing barrier (enqueued on *every* shard, like
-    /// [`Item::Probe`]): each dispatcher appends its partition's durable
-    /// session names to `acc`; whoever decrements `left` to zero answers
-    /// with the merged, sorted list plus the root-leader hint.
-    Sessions {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-        acc: Arc<Mutex<Vec<String>>>,
-    },
     /// Adopt a freshly opened session into this shard's running service
     /// partition (`Server::adopt_session`).  The box holds a
     /// `Session<F>`, type-erased so this queue stays monomorphic.
@@ -309,24 +305,6 @@ enum Item {
     /// on *every* shard when a chained upstream learns its root moved).
     /// Writable sessions are untouched.
     Retarget { leader: String },
-    /// A trace-drain barrier (enqueued on *every* shard, like
-    /// [`Item::Probe`]): whoever decrements `left` to zero drains every
-    /// shard registry's span buffer and answers with the merge.
-    Trace {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-    },
-    /// A topology barrier (enqueued on *every* shard): each dispatcher
-    /// appends its partition's `(session, gen, applied)` rows to `acc`;
-    /// whoever decrements `left` to zero folds in the shared link state
-    /// and answers with a [`TopologyReply`].
-    Topology {
-        conn: u64,
-        seq: u64,
-        left: Arc<AtomicUsize>,
-        acc: Arc<Mutex<Vec<(String, u64, u64)>>>,
-    },
 }
 
 /// Server-side instruments, registered on shard 0's [`Registry`] (the
@@ -416,6 +394,19 @@ fn broadcast(shared: &Shared, mut item: impl FnMut() -> Item) {
     }
 }
 
+/// Open an [`Item::Barrier`] answering `verb` on every shard.
+fn barrier(shared: &Shared, conn: u64, seq: u64, verb: Verb) {
+    let left = Arc::new(AtomicUsize::new(shared.shards.len()));
+    let rows = Arc::new(Mutex::new(Vec::new()));
+    broadcast(shared, || Item::Barrier {
+        conn,
+        seq,
+        verb,
+        left: Arc::clone(&left),
+        rows: Arc::clone(&rows),
+    });
+}
+
 /// Apply a run of leader shipments to `service` in order, stopping at
 /// the first one refused: one report per attempted shipment, the last
 /// one carrying the refusal if there was one.  Shipments behind a
@@ -488,8 +479,8 @@ struct OutState {
     /// Unsolicited frames awaiting their opening response, per stream,
     /// with their budget flag.
     parked: BTreeMap<StreamKey, Vec<(Vec<u8>, bool)>>,
-    /// Streams already ended by a parked terminal frame: discard
-    /// anything further, clean up at activation.
+    /// Streams ended by a terminal frame: anything further is discarded.
+    /// One that ended while parked is forgotten at activation.
     dead: BTreeSet<StreamKey>,
     /// Undelivered frames per stream (parked + ready), the count the
     /// outbox caps bound ([`ServeOptions::event_outbox_cap`] for
@@ -562,7 +553,7 @@ struct Shared {
 }
 
 /// What the replica layer tells the server about its place in the
-/// replication tree (see [`Item::Topology`]).
+/// replication tree, for the `Topology` verb.
 #[derive(Default)]
 struct TopoState {
     /// The upstream this node tails (`None` on a root, cleared on
@@ -1000,50 +991,12 @@ fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
                             };
                             enqueue(shared, shard, item);
                         }
-                        // A metrics probe fans out to every shard as a
-                        // barrier; the countdown picks the answerer.
-                        WireRequest::Metrics => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            broadcast(shared, || Item::Probe {
-                                conn,
-                                seq,
-                                left: Arc::clone(&left),
-                            });
-                        }
-                        // A session listing is a barrier too: every
-                        // shard contributes its partition's names.
-                        WireRequest::Sessions => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            let acc = Arc::new(Mutex::new(Vec::new()));
-                            broadcast(shared, || Item::Sessions {
-                                conn,
-                                seq,
-                                left: Arc::clone(&left),
-                                acc: Arc::clone(&acc),
-                            });
-                        }
-                        // A trace drain is a barrier like a metrics
-                        // probe: pipelined traced writes land first.
-                        WireRequest::Trace => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            broadcast(shared, || Item::Trace {
-                                conn,
-                                seq,
-                                left: Arc::clone(&left),
-                            });
-                        }
-                        // Topology: every shard contributes its
-                        // partition's replication positions.
-                        WireRequest::Topology => {
-                            let left = Arc::new(AtomicUsize::new(n_shards));
-                            let acc = Arc::new(Mutex::new(Vec::new()));
-                            broadcast(shared, || Item::Topology {
-                                conn,
-                                seq,
-                                left: Arc::clone(&left),
-                                acc: Arc::clone(&acc),
-                            });
-                        }
+                        // The node-wide verbs are barriers across every
+                        // shard; the countdown picks the answerer.
+                        WireRequest::Metrics => barrier(shared, conn, seq, Verb::Metrics),
+                        WireRequest::Sessions => barrier(shared, conn, seq, Verb::Sessions),
+                        WireRequest::Trace => barrier(shared, conn, seq, Verb::Trace),
+                        WireRequest::Topology => barrier(shared, conn, seq, Verb::Topology),
                     }
                     seq += 1;
                 }
@@ -1281,108 +1234,39 @@ fn deliver_response(
     }
 }
 
-/// What became of one event handed to a connection.
-enum EventOutcome {
+/// What became of one frame handed to a stream.
+enum FrameOutcome {
     /// Queued (or parked) for delivery — or discarded because the stream
     /// already ended with a queued terminal frame.
     Delivered,
-    /// The connection is gone; the subscription has no consumer.
+    /// The connection is gone; the stream has no consumer.
     Gone,
     /// The stream blew its outbox cap: a cap-exempt terminal frame was
     /// queued *behind* everything already owed, so the delivered prefix
     /// stays gapless and the terminal is the last frame the stream ever
-    /// carries.  The caller must drop the stream from its session.
+    /// carries.  The caller must drop the stream at its source.
     Overflow,
 }
 
-/// Queue one delta event on `conn`'s writer, parking it if the
-/// subscription's `Subscribed` response has not reached the wire order
-/// yet, and enforcing the per-subscription outbox cap.
-fn deliver_event(shared: &Shared, conn: u64, session: &str, event: &DeltaEvent) -> EventOutcome {
-    let Some(slot) = shared
-        .conns
-        .lock()
-        .expect("conns")
-        .get(&conn)
-        .map(Arc::clone)
-    else {
-        return EventOutcome::Gone;
-    };
-    let mut st = slot.state.lock().expect("out state");
-    if st.closed {
-        return EventOutcome::Gone;
-    }
-    let key = StreamKey::Sub(session.to_string(), event.sub);
-    if st.dead.contains(&key) {
-        return EventOutcome::Delivered; // stream already ended; discard
-    }
-    let terminal = matches!(event.kind, DeltaKind::Terminated { .. });
-    if !terminal && st.queued.get(&key).copied().unwrap_or(0) >= shared.event_outbox_cap {
-        // Cap blown: the overflowing event is replaced by a terminal
-        // frame carrying its sequence, behind the events already queued
-        // — the stream stays gapless and the client sees exactly where
-        // it was cut.
-        let notice = DeltaEvent {
-            sub: event.sub,
-            view: event.view.clone(),
-            seq: event.seq,
-            kind: DeltaKind::Terminated {
-                reason: TerminateReason::SlowConsumer,
-            },
-        };
-        let frame = encode_event_payload(session, &notice);
-        st.dead.insert(key.clone());
-        if st.active.remove(&key) {
-            st.ready.push_back((frame, None));
-            drop(st);
-            slot.wake.notify_one();
-        } else {
-            st.parked.entry(key).or_default().push((frame, false));
-        }
-        shared.obs.slow_drops.inc();
-        return EventOutcome::Overflow;
-    }
-    let frame = encode_event_payload(session, event);
-    shared.obs.events_out.inc();
-    if terminal {
-        // Session-side termination (e.g. the view stopped being a
-        // component): cap-exempt, ends the stream.
-        if st.active.remove(&key) {
-            st.ready.push_back((frame, None));
-            drop(st);
-            slot.wake.notify_one();
-        } else {
-            st.dead.insert(key.clone());
-            st.parked.entry(key).or_default().push((frame, false));
-        }
-    } else {
-        *st.queued.entry(key.clone()).or_insert(0) += 1;
-        if st.active.contains(&key) {
-            st.ready.push_back((frame, Some(key)));
-            drop(st);
-            slot.wake.notify_one();
-        } else {
-            st.parked.entry(key).or_default().push((frame, true));
-        }
-    }
-    EventOutcome::Delivered
-}
-
-/// Queue one WAL shipment frame on `conn`'s writer for the replication
-/// stream `key`, parking it if the stream's ack has not reached the wire
-/// order yet, and enforcing [`ServeOptions::repl_outbox_cap`].  On
-/// overflow the overflowing frame is dropped and a terminal `W_END` is
-/// queued *behind* everything already owed (parked or ready), so the
-/// follower receives a gapless prefix ending in the `End` — it treats
-/// that as a lost link and re-requests from its own log, so nothing is
-/// lost, only re-shipped.
-fn deliver_repl_frame(
+/// Queue one unsolicited frame of stream `key` on `conn`'s writer — a
+/// subscription's delta event or a replication stream's WAL frame; both
+/// kinds take this one path.  The frame parks until the stream's opening
+/// response has reached wire order and goes straight to the writer after
+/// that.  At most `cap` frames per stream are undelivered: the frame that
+/// finds the stream full is dropped, and the one `overflow` builds goes
+/// behind the owed frames instead, exempt from the cap, as the stream's
+/// last.  `last` marks a frame that ends its stream by itself (a
+/// session-side `Terminated` event), exempt from the cap too.  A frame
+/// for a stream that has already ended is discarded, uncounted.
+fn deliver_stream_frame(
     shared: &Shared,
     conn: u64,
-    session: &str,
     key: &StreamKey,
+    cap: usize,
     frame: Vec<u8>,
-) -> EventOutcome {
+    last: bool,
+    overflow: impl FnOnce() -> Vec<u8>,
+) -> FrameOutcome {
     let Some(slot) = shared
         .conns
         .lock()
@@ -1390,44 +1274,81 @@ fn deliver_repl_frame(
         .get(&conn)
         .map(Arc::clone)
     else {
-        return EventOutcome::Gone;
+        return FrameOutcome::Gone;
     };
     let mut st = slot.state.lock().expect("out state");
     if st.closed {
-        return EventOutcome::Gone;
+        return FrameOutcome::Gone;
     }
     if st.dead.contains(key) {
-        return EventOutcome::Delivered; // stream already ended; discard
+        return FrameOutcome::Delivered; // stream already ended; discard
     }
-    if st.queued.get(key).copied().unwrap_or(0) >= shared.repl_outbox_cap {
-        let end = encode_wal_frame_payload(&WalFrame::End {
-            session: session.to_string(),
-            reason: "replication outbox overflow (follower too far behind)".to_owned(),
-        });
-        st.dead.insert(key.clone());
-        if st.active.remove(key) {
-            st.ready.push_back((end, None));
-            drop(st);
-            slot.wake.notify_one();
-        } else {
-            st.parked.entry(key.clone()).or_default().push((end, false));
+    let full = !last && st.queued.get(key).copied().unwrap_or(0) >= cap;
+    let frame = if full { overflow() } else { frame };
+    match key {
+        StreamKey::Sub(..) if full => shared.obs.slow_drops.inc(),
+        StreamKey::Sub(..) => shared.obs.events_out.inc(),
+        StreamKey::Repl(..) if full => {}
+        StreamKey::Repl(..) => {
+            shared.obs.repl_records_out.inc();
+            shared.obs.repl_bytes_out.add(frame.len() as u64);
         }
-        return EventOutcome::Overflow;
     }
-    shared.obs.repl_records_out.inc();
-    shared.obs.repl_bytes_out.add(frame.len() as u64);
-    *st.queued.entry(key.clone()).or_insert(0) += 1;
-    if st.active.contains(key) {
-        st.ready.push_back((frame, Some(key.clone())));
+    let budget = !(last || full);
+    let live = if budget {
+        match st.queued.get_mut(key) {
+            Some(n) => *n += 1,
+            None => {
+                st.queued.insert(key.clone(), 1);
+            }
+        }
+        st.active.contains(key)
+    } else {
+        st.dead.insert(key.clone());
+        st.active.remove(key)
+    };
+    if live {
+        st.ready.push_back((frame, budget.then(|| key.clone())));
         drop(st);
         slot.wake.notify_one();
     } else {
         st.parked
             .entry(key.clone())
             .or_default()
-            .push((frame, true));
+            .push((frame, budget));
     }
-    EventOutcome::Delivered
+    if full {
+        FrameOutcome::Overflow
+    } else {
+        FrameOutcome::Delivered
+    }
+}
+
+/// Queue WAL frames on one replication stream of `session`, in order,
+/// under [`ServeOptions::repl_outbox_cap`]; on overflow the follower gets
+/// a gapless prefix ending in a `W_END`, treats that as a lost link and
+/// re-requests from its own log, so nothing is lost, only re-shipped.
+/// Stops at the first frame the stream does not take: `false` when the
+/// stream is over.
+fn ship_frames(
+    shared: &Shared,
+    conn: u64,
+    session: &str,
+    key: &StreamKey,
+    frames: impl IntoIterator<Item = Vec<u8>>,
+) -> bool {
+    let end = || {
+        encode_wal_frame_payload(&WalFrame::End {
+            session: session.to_owned(),
+            reason: "replication outbox overflow (follower too far behind)".to_owned(),
+        })
+    };
+    frames.into_iter().all(|frame| {
+        matches!(
+            deliver_stream_frame(shared, conn, key, shared.repl_outbox_cap, frame, false, end),
+            FrameOutcome::Delivered
+        )
+    })
 }
 
 /// Forget one replication stream target: release its idle-timeout
@@ -1476,7 +1397,6 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
     mut service: Service<F>,
     shared: &Shared,
 ) -> Service<F> {
-    let n_shards = shared.shards.len();
     // This shard's distributed-span sink (configured with the serving
     // address at bind); requests without a sampled trace context cost
     // one `None` check here and nothing else.
@@ -1515,21 +1435,17 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
             }
             q.drain(..).collect()
         };
-        // Split the drain into the dispatchable batch, the metrics
-        // probes, and connection cancellations, remembering where each
-        // answer goes.
+        // Split the drain into the dispatchable batch, the barriers, and
+        // connection cancellations, remembering where each answer goes.
         let mut batch: Vec<(String, SessionRequest, Option<TraceCtx>)> = Vec::new();
         let mut slots: Vec<(u64, u64, usize)> = Vec::new();
-        let mut probes: Vec<(u64, u64, Arc<AtomicUsize>)> = Vec::new();
+        let mut barriers = Vec::new();
         let mut cancels: Vec<u64> = Vec::new();
         let mut replicates: Vec<(u64, u64, String, u64, u64)> = Vec::new();
         let mut applies: Vec<(ApplyBatch, mpsc::Sender<Vec<ApplyReport>>)> = Vec::new();
         let mut promotes: Vec<mpsc::Sender<Result<(), String>>> = Vec::new();
-        let mut listings: Vec<ListingSlot> = Vec::new();
         let mut adopts: Vec<AdoptSlot> = Vec::new();
         let mut retargets: Vec<String> = Vec::new();
-        let mut traces: Vec<(u64, u64, Arc<AtomicUsize>)> = Vec::new();
-        let mut topos: Vec<TopoSlot> = Vec::new();
         for item in drained {
             match item {
                 Item::Dispatch {
@@ -1558,7 +1474,13 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                     slots.push((conn, seq, batch.len()));
                     batch.push((session, req, ctx));
                 }
-                Item::Probe { conn, seq, left } => probes.push((conn, seq, left)),
+                Item::Barrier {
+                    conn,
+                    seq,
+                    verb,
+                    left,
+                    rows,
+                } => barriers.push((conn, seq, verb, left, rows)),
                 Item::Cancel { conn } => cancels.push(conn),
                 Item::Replicate {
                     conn,
@@ -1569,12 +1491,6 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                 } => replicates.push((conn, seq, session, from_seq, gen)),
                 Item::Apply { records, done } => applies.push((records, done)),
                 Item::Promote { done } => promotes.push(done),
-                Item::Sessions {
-                    conn,
-                    seq,
-                    left,
-                    acc,
-                } => listings.push((conn, seq, left, acc)),
                 Item::Adopt {
                     name,
                     session,
@@ -1598,13 +1514,6 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                     deadline,
                 }),
                 Item::Retarget { leader } => retargets.push(leader),
-                Item::Trace { conn, seq, left } => traces.push((conn, seq, left)),
-                Item::Topology {
-                    conn,
-                    seq,
-                    left,
-                    acc,
-                } => topos.push((conn, seq, left, acc)),
             }
         }
         // Adoptions land before anything else in this drain that might
@@ -1716,34 +1625,28 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                 Some(RouteChange::Activate(key.clone())),
             );
             // Catch-up frames park behind the ack and flush with it.
-            let mut alive = true;
-            if let Some(record0) = record0 {
-                let frame = encode_wal_frame_payload(&WalFrame::Reset {
+            let reset = record0.map(|record0| {
+                encode_wal_frame_payload(&WalFrame::Reset {
                     session: session.clone(),
                     gen,
                     record0,
-                });
-                alive = matches!(
-                    deliver_repl_frame(shared, conn, &session, &key, frame),
-                    EventOutcome::Delivered
-                );
-            }
-            for bytes in frames {
-                if !alive {
-                    break;
-                }
-                let frame = encode_wal_frame_payload(&WalFrame::Record {
+                })
+            });
+            let records = frames.into_iter().map(|bytes| {
+                encode_wal_frame_payload(&WalFrame::Record {
                     session: session.clone(),
                     gen,
                     bytes,
                     trace: None,
-                });
-                alive = matches!(
-                    deliver_repl_frame(shared, conn, &session, &key, frame),
-                    EventOutcome::Delivered
-                );
-            }
-            if !alive {
+                })
+            });
+            if !ship_frames(
+                shared,
+                conn,
+                &session,
+                &key,
+                reset.into_iter().chain(records),
+            ) {
                 remove_repl_target(&mut repl_routes, &mut service, shared, &session, conn, &key);
             }
         }
@@ -1799,7 +1702,6 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
             // writer's parking keeps it behind its own `Subscribed`.
             for (session, event) in events {
                 let key = StreamKey::Sub(session.clone(), event.sub);
-                let terminal = matches!(event.kind, DeltaKind::Terminated { .. });
                 let Some(&conn) = routes.get(&key) else {
                     // No consumer (its connection died, or it was
                     // slow-dropped moments ago): end the stream at the
@@ -1809,13 +1711,32 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                     }
                     continue;
                 };
-                match deliver_event(shared, conn, &session, &event) {
-                    EventOutcome::Delivered => {
-                        if terminal {
+                // A session-side termination (e.g. the view stopped being
+                // a component) ends the stream by itself.  An event that
+                // blows the outbox cap is replaced by a `SlowConsumer`
+                // terminal carrying its sequence, so the client sees
+                // exactly where the stream was cut.
+                let last = matches!(event.kind, DeltaKind::Terminated { .. });
+                let frame = encode_event_payload(&session, &event);
+                let slow = || {
+                    let notice = DeltaEvent {
+                        sub: event.sub,
+                        view: event.view.clone(),
+                        seq: event.seq,
+                        kind: DeltaKind::Terminated {
+                            reason: TerminateReason::SlowConsumer,
+                        },
+                    };
+                    encode_event_payload(&session, &notice)
+                };
+                let cap = shared.event_outbox_cap;
+                match deliver_stream_frame(shared, conn, &key, cap, frame, last, slow) {
+                    FrameOutcome::Delivered => {
+                        if last {
                             routes.remove(&key);
                         }
                     }
-                    EventOutcome::Gone | EventOutcome::Overflow => {
+                    FrameOutcome::Gone | FrameOutcome::Overflow => {
                         routes.remove(&key);
                         if let Some(s) = service.session_mut(&session) {
                             s.drop_subscription(event.sub);
@@ -1890,17 +1811,7 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                 let targets: Vec<(u64, StreamKey)> =
                     repl_routes.get(&session).cloned().unwrap_or_default();
                 for (conn, key) in targets {
-                    let mut alive = true;
-                    for frame in &frames {
-                        if !alive {
-                            break;
-                        }
-                        alive = matches!(
-                            deliver_repl_frame(shared, conn, &session, &key, frame.clone()),
-                            EventOutcome::Delivered
-                        );
-                    }
-                    if !alive {
+                    if !ship_frames(shared, conn, &session, &key, frames.iter().cloned()) {
                         remove_repl_target(
                             &mut repl_routes,
                             &mut service,
@@ -1960,96 +1871,20 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
             }
             waiting_reads = parked;
         }
-        // Session listings pass with the same barrier discipline as
-        // probes: each shard contributes after applying its share of the
-        // drain, the last one through answers.
-        for (conn, seq, left, acc) in listings {
-            {
-                let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-                let mut acc = acc.lock().expect("sessions acc");
-                for name in names {
-                    if service.session(&name).is_some_and(|s| s.is_durable()) {
-                        acc.push(name);
-                    }
-                }
-            }
+        // Barriers pass only after the batch drained alongside them has
+        // been applied: each shard adds its durable positions, so when
+        // the countdown hits zero every shard has applied everything
+        // enqueued before the barrier, and the last one through answers.
+        for (conn, seq, verb, left, rows) in barriers {
+            rows.lock()
+                .expect("barrier rows")
+                .extend(service.session_names().filter_map(|name| {
+                    let s = service.session(name).filter(|s| s.is_durable())?;
+                    Some((name.to_owned(), s.wal_gen(), s.wal_last_seq()))
+                }));
             if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut sessions = std::mem::take(&mut *acc.lock().expect("sessions acc"));
-                sessions.sort();
-                let reply = SessionsReply {
-                    leader: shared.leader_hint.lock().expect("leader hint").clone(),
-                    sessions,
-                };
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_sessions_reply_payload(&reply),
-                    None,
-                );
-            }
-        }
-        // Probes pass only after the batch drained alongside them has
-        // been applied — so by the time the countdown hits zero, every
-        // shard has applied everything enqueued before the probe.
-        for (conn, seq, left) in probes {
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let parts: Vec<MetricsSnapshot> = (0..n_shards)
-                    .map(|j| {
-                        let _gate = shared.snap_gates[j].lock().expect("snap gate");
-                        shared.registries[j].snapshot()
-                    })
-                    .collect();
-                let merged = MetricsSnapshot::merged(parts.iter());
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_metrics_response_payload(&merged),
-                    None,
-                );
-            }
-        }
-        // A trace drain passes with the same barrier discipline, so a
-        // drain pipelined behind a traced write observes its spans.
-        for (conn, seq, left) in traces {
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let parts: Vec<TraceSnapshot> = (0..n_shards)
-                    .map(|j| shared.registries[j].dtracer().drain())
-                    .collect();
-                let merged = TraceSnapshot::merged(parts.iter());
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_trace_response_payload(&merged),
-                    None,
-                );
-            }
-        }
-        // Topology: contribute this partition's positions; the last
-        // shard through folds in the link state and answers.
-        for (conn, seq, left, acc) in topos {
-            {
-                let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-                let mut acc = acc.lock().expect("topology acc");
-                for name in names {
-                    if let Some(s) = service.session(&name).filter(|s| s.is_durable()) {
-                        acc.push((name, s.wal_gen(), s.wal_last_seq()));
-                    }
-                }
-            }
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut rows = std::mem::take(&mut *acc.lock().expect("topology acc"));
-                rows.sort();
-                let reply = assemble_topology(shared, rows);
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_topology_reply_payload(&reply),
-                    None,
-                );
+                let rows = std::mem::take(&mut *rows.lock().expect("barrier rows"));
+                deliver_response(shared, conn, seq, barrier_reply(shared, verb, rows), None);
             }
         }
         // (Follower side) promotion barrier, dead last: every `Apply`
@@ -2073,7 +1908,40 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
     }
 }
 
-/// Fold the per-shard `(session, gen, applied)` rows and the shared link
+/// The reply to a barrier's `verb`, built by the last shard through from
+/// every shard's durable `rows`.
+fn barrier_reply(shared: &Shared, verb: Verb, mut rows: Vec<Row>) -> Vec<u8> {
+    rows.sort();
+    match verb {
+        Verb::Metrics => {
+            let parts: Vec<MetricsSnapshot> = shared
+                .snap_gates
+                .iter()
+                .zip(&shared.registries)
+                .map(|(gate, registry)| {
+                    let _gate = gate.lock().expect("snap gate");
+                    registry.snapshot()
+                })
+                .collect();
+            encode_metrics_response_payload(&MetricsSnapshot::merged(parts.iter()))
+        }
+        Verb::Trace => {
+            let parts: Vec<TraceSnapshot> = shared
+                .registries
+                .iter()
+                .map(|r| r.dtracer().drain())
+                .collect();
+            encode_trace_response_payload(&TraceSnapshot::merged(parts.iter()))
+        }
+        Verb::Sessions => encode_sessions_reply_payload(&SessionsReply {
+            leader: shared.leader_hint.lock().expect("leader hint").clone(),
+            sessions: rows.into_iter().map(|(name, ..)| name).collect(),
+        }),
+        Verb::Topology => encode_topology_reply_payload(&assemble_topology(shared, rows)),
+    }
+}
+
+/// Fold the sorted `(session, gen, applied)` rows and the shared link
 /// state into one [`TopologyReply`] — the `Topology` verb's answer.
 fn assemble_topology(shared: &Shared, rows: Vec<(String, u64, u64)>) -> TopologyReply {
     let now = Instant::now();
@@ -2145,11 +2013,12 @@ fn assemble_topology(shared: &Shared, rows: Vec<(String, u64, u64)>) -> Topology
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::decode_wal_frame_payload;
+    use crate::proto::{decode_event_payload, decode_wal_frame_payload};
+    use compview_relation::{Instance, RelDecl, Signature};
 
     /// A `Shared` with no shards and no threads: just enough for the
     /// writer-side delivery functions under test.
-    fn test_shared(repl_outbox_cap: usize) -> Arc<Shared> {
+    fn test_shared() -> Arc<Shared> {
         let registry = Registry::new();
         Arc::new(Shared {
             shards: Vec::new(),
@@ -2160,7 +2029,7 @@ mod tests {
             readers: Mutex::new(Vec::new()),
             writers: Mutex::new(Vec::new()),
             event_outbox_cap: 1,
-            repl_outbox_cap,
+            repl_outbox_cap: 1,
             read_timeout: None,
             heartbeat_interval: None,
             repl_conns: Mutex::new(BTreeMap::new()),
@@ -2199,97 +2068,208 @@ mod tests {
         (slot, far)
     }
 
-    fn record_frame(session: &str, seq: u64) -> Vec<u8> {
-        encode_wal_frame_payload(&WalFrame::Record {
-            session: session.to_owned(),
-            gen: 1,
-            bytes: vec![seq as u8; 4],
-            trace: None,
-        })
+    /// One stream of each kind: a subscription's delta events and a
+    /// replication stream's WAL frames.
+    fn streams() -> [StreamKey; 2] {
+        [
+            StreamKey::Sub("s".to_owned(), 1),
+            StreamKey::Repl("s".to_owned(), 0),
+        ]
     }
 
-    /// Overflow while the stream is still parked (its ack not yet in
-    /// wire order): the terminal `End` queues BEHIND the parked catch-up
-    /// frames, and activation flushes the owed frames first, `End` last —
-    /// a gapless prefix, exactly what the delivery contract promises.
+    /// Data frame `n` of stream `key`: a delta event or a WAL record.
+    fn frame_of(key: &StreamKey, n: u64) -> Vec<u8> {
+        match key {
+            StreamKey::Sub(session, sub) => {
+                let empty = Instance::null_model(&Signature::new([RelDecl::new("R", ["A"])]));
+                let event = DeltaEvent {
+                    sub: *sub,
+                    view: "v".to_owned(),
+                    seq: n,
+                    kind: DeltaKind::Rows {
+                        added: empty.clone(),
+                        removed: empty,
+                    },
+                };
+                encode_event_payload(session, &event)
+            }
+            StreamKey::Repl(session, _) => encode_wal_frame_payload(&WalFrame::Record {
+                session: session.clone(),
+                gen: 1,
+                bytes: vec![n as u8; 4],
+                trace: None,
+            }),
+        }
+    }
+
+    /// The overflow terminal of stream `key`: `SlowConsumer` or `W_END`.
+    fn terminal_of(key: &StreamKey) -> Vec<u8> {
+        match key {
+            StreamKey::Sub(session, sub) => {
+                let notice = DeltaEvent {
+                    sub: *sub,
+                    view: "v".to_owned(),
+                    seq: 0,
+                    kind: DeltaKind::Terminated {
+                        reason: TerminateReason::SlowConsumer,
+                    },
+                };
+                encode_event_payload(session, &notice)
+            }
+            StreamKey::Repl(session, _) => encode_wal_frame_payload(&WalFrame::End {
+                session: session.clone(),
+                reason: "overflow".to_owned(),
+            }),
+        }
+    }
+
+    /// Which frame of `key`'s stream `frame` is: `Some(n)` for data frame
+    /// `n`, `None` for the overflow terminal.
+    fn frame_no(key: &StreamKey, frame: &[u8]) -> Option<u64> {
+        match key {
+            StreamKey::Sub(..) => match decode_event_payload(frame).expect("event frame").1 {
+                DeltaEvent {
+                    kind: DeltaKind::Rows { .. },
+                    seq,
+                    ..
+                } => Some(seq),
+                DeltaEvent {
+                    kind:
+                        DeltaKind::Terminated {
+                            reason: TerminateReason::SlowConsumer,
+                        },
+                    ..
+                } => None,
+                other => panic!("unexpected event {other:?}"),
+            },
+            StreamKey::Repl(..) => match decode_wal_frame_payload(frame).expect("wal frame") {
+                WalFrame::Record { bytes, .. } => Some(u64::from(bytes[0])),
+                WalFrame::End { .. } => None,
+                other => panic!("unexpected WAL frame {other:?}"),
+            },
+        }
+    }
+
+    /// Hand data frame `n` to stream `key` under an outbox cap of 2.
+    fn deliver(shared: &Shared, conn: u64, key: &StreamKey, n: u64) -> FrameOutcome {
+        let frame = frame_of(key, n);
+        deliver_stream_frame(shared, conn, key, 2, frame, false, || terminal_of(key))
+    }
+
+    /// `(serve.events_out, serve.sub.slow_drops, serve.repl.records_out)`.
+    fn counts(shared: &Shared) -> (u64, u64, u64) {
+        (
+            shared.obs.events_out.get(),
+            shared.obs.slow_drops.get(),
+            shared.obs.repl_records_out.get(),
+        )
+    }
+
+    /// What [`counts`] must read once stream `key` accepted `frames` data
+    /// frames and overflowed once.
+    fn counted(key: &StreamKey, frames: u64) -> (u64, u64, u64) {
+        match key {
+            StreamKey::Sub(..) => (frames, 1, 0),
+            StreamKey::Repl(..) => (0, 0, frames),
+        }
+    }
+
+    /// Overflow while the stream is still parked (its opening response
+    /// not yet in wire order), for both stream kinds: the terminal queues
+    /// BEHIND the parked frames, and activation flushes the owed frames
+    /// first, terminal last — a gapless prefix, exactly what the delivery
+    /// contract promises.
     #[test]
     fn repl_overflow_while_parked_flushes_owed_frames_then_end() {
-        let shared = test_shared(2);
-        let (slot, _far) = test_conn(&shared, 7);
-        let key = StreamKey::Repl("s".to_owned(), 0);
-
-        for seq in 0..2 {
-            let out = deliver_repl_frame(&shared, 7, "s", &key, record_frame("s", seq));
-            assert!(matches!(out, EventOutcome::Delivered));
-        }
-        // One past the cap: refused, stream marked dead.
-        let out = deliver_repl_frame(&shared, 7, "s", &key, record_frame("s", 2));
-        assert!(matches!(out, EventOutcome::Overflow));
-        // Anything further is discarded without growing the backlog.
-        let out = deliver_repl_frame(&shared, 7, "s", &key, record_frame("s", 3));
-        assert!(matches!(out, EventOutcome::Delivered));
-        assert_eq!(
-            slot.state.lock().expect("state").parked[&key].len(),
-            3,
-            "two owed records plus the terminal End"
-        );
-
-        // The ack lands in wire order: owed frames flush oldest-first,
-        // End last, and the dead stream is forgotten.
-        deliver_response(
-            &shared,
-            7,
-            0,
-            vec![0xAA],
-            Some(RouteChange::Activate(key.clone())),
-        );
-        let st = slot.state.lock().expect("state");
-        let frames: Vec<&Vec<u8>> = st.ready.iter().map(|(f, _)| f).collect();
-        assert_eq!(frames.len(), 4, "ack + 2 records + End");
-        assert_eq!(frames[0], &vec![0xAA]);
-        for (i, frame) in frames[1..3].iter().enumerate() {
-            match decode_wal_frame_payload(frame).expect("wal frame") {
-                WalFrame::Record { bytes, .. } => assert_eq!(bytes, vec![i as u8; 4]),
-                other => panic!("expected Record, got {other:?}"),
+        for key in streams() {
+            let shared = test_shared();
+            let (slot, _far) = test_conn(&shared, 7);
+            for n in 0..2 {
+                assert!(matches!(
+                    deliver(&shared, 7, &key, n),
+                    FrameOutcome::Delivered
+                ));
             }
+            // One past the cap: refused, stream marked dead.
+            assert!(matches!(
+                deliver(&shared, 7, &key, 2),
+                FrameOutcome::Overflow
+            ));
+            assert_eq!(counts(&shared), counted(&key, 2), "{key:?}");
+            // Anything further is discarded without growing the backlog
+            // or counting as sent.
+            assert!(matches!(
+                deliver(&shared, 7, &key, 3),
+                FrameOutcome::Delivered
+            ));
+            assert_eq!(counts(&shared), counted(&key, 2), "{key:?}");
+            assert_eq!(
+                slot.state.lock().expect("state").parked[&key].len(),
+                3,
+                "{key:?}: two owed frames plus the terminal"
+            );
+
+            // The opening response lands in wire order: owed frames flush
+            // oldest-first, the terminal last, and the dead stream is
+            // forgotten.
+            deliver_response(
+                &shared,
+                7,
+                0,
+                vec![0xAA],
+                Some(RouteChange::Activate(key.clone())),
+            );
+            let st = slot.state.lock().expect("state");
+            let frames: Vec<&Vec<u8>> = st.ready.iter().map(|(f, _)| f).collect();
+            assert_eq!(frames.len(), 4, "{key:?}: response + 2 frames + terminal");
+            assert_eq!(frames[0], &vec![0xAA]);
+            assert_eq!(frame_no(&key, frames[1]), Some(0));
+            assert_eq!(frame_no(&key, frames[2]), Some(1));
+            assert_eq!(frame_no(&key, frames[3]), None, "{key:?}: terminal last");
+            assert!(!st.dead.contains(&key), "activation reaps the dead key");
+            assert!(!st.active.contains(&key), "an ended stream never activates");
+            assert!(!st.queued.contains_key(&key), "budget forgotten");
         }
-        match decode_wal_frame_payload(frames[3]).expect("wal frame") {
-            WalFrame::End { .. } => {}
-            other => panic!("expected End last, got {other:?}"),
-        }
-        assert!(!st.dead.contains(&key), "activation reaps the dead key");
-        assert!(!st.active.contains(&key), "an ended stream never activates");
-        assert!(!st.queued.contains_key(&key), "budget forgotten");
     }
 
-    /// Overflow on an already-active stream: the `End` goes to the wire
-    /// queue behind the frames already owed there.
+    /// Overflow on an already-active stream, for both stream kinds: the
+    /// terminal goes to the wire queue behind the frames already owed
+    /// there.
     #[test]
     fn repl_overflow_while_active_queues_end_behind_owed_frames() {
-        let shared = test_shared(2);
-        let (slot, _far) = test_conn(&shared, 3);
-        let key = StreamKey::Repl("s".to_owned(), 0);
-        deliver_response(
-            &shared,
-            3,
-            0,
-            vec![0xAA],
-            Some(RouteChange::Activate(key.clone())),
-        );
-        for seq in 0..2 {
-            let out = deliver_repl_frame(&shared, 3, "s", &key, record_frame("s", seq));
-            assert!(matches!(out, EventOutcome::Delivered));
+        for key in streams() {
+            let shared = test_shared();
+            let (slot, _far) = test_conn(&shared, 3);
+            deliver_response(
+                &shared,
+                3,
+                0,
+                vec![0xAA],
+                Some(RouteChange::Activate(key.clone())),
+            );
+            for n in 0..2 {
+                assert!(matches!(
+                    deliver(&shared, 3, &key, n),
+                    FrameOutcome::Delivered
+                ));
+            }
+            assert!(matches!(
+                deliver(&shared, 3, &key, 2),
+                FrameOutcome::Overflow
+            ));
+            assert!(matches!(
+                deliver(&shared, 3, &key, 3),
+                FrameOutcome::Delivered
+            ));
+            assert_eq!(counts(&shared), counted(&key, 2), "{key:?}");
+            let st = slot.state.lock().expect("state");
+            let frames: Vec<&Vec<u8>> = st.ready.iter().map(|(f, _)| f).collect();
+            assert_eq!(frames.len(), 4, "{key:?}: response + 2 frames + terminal");
+            assert_eq!(frame_no(&key, frames[1]), Some(0));
+            assert_eq!(frame_no(&key, frames[2]), Some(1));
+            assert_eq!(frame_no(&key, frames[3]), None, "{key:?}: terminal last");
+            assert!(st.dead.contains(&key));
+            assert!(!st.active.contains(&key));
         }
-        let out = deliver_repl_frame(&shared, 3, "s", &key, record_frame("s", 2));
-        assert!(matches!(out, EventOutcome::Overflow));
-        let st = slot.state.lock().expect("state");
-        let frames: Vec<&Vec<u8>> = st.ready.iter().map(|(f, _)| f).collect();
-        assert_eq!(frames.len(), 4, "ack + 2 records + End");
-        match decode_wal_frame_payload(frames[3]).expect("wal frame") {
-            WalFrame::End { .. } => {}
-            other => panic!("expected End last, got {other:?}"),
-        }
-        assert!(st.dead.contains(&key));
-        assert!(!st.active.contains(&key));
     }
 }

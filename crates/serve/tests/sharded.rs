@@ -5,9 +5,9 @@
 
 use compview_core::SubschemaComponents;
 use compview_logic::Schema;
-use compview_obs::MetricsSnapshot;
+use compview_obs::{DistTracer, MetricsSnapshot, TraceCtx};
 use compview_relation::{rel, v, Instance, RelDecl, Signature, Tuple};
-use compview_serve::{Client, Server};
+use compview_serve::{Client, ServeOptions, Server};
 use compview_session::wal;
 use compview_session::{Service, Session, SessionConfig, SessionRequest, SyncPolicy};
 use proptest::prelude::*;
@@ -217,24 +217,75 @@ proptest! {
 
 /// A probe pipelined behind K requests observes all K — the cross-shard
 /// barrier — at every shard count, even when the requests scatter over
-/// all eight sessions (and so over every shard).
+/// all eight sessions (and so over every shard).  The four node-wide
+/// verbs share that one barrier, so `Sessions`, `Trace` and `Topology`
+/// pipelined behind the same K traced writes must reflect all of them
+/// too: every durable session listed, every topology row at its
+/// session's post-write WAL position, every write's `shard.queue` span
+/// in the drain.
 #[test]
 fn probe_behind_pipelined_requests_observes_all_of_them() {
     for shards in [1usize, 2, 8] {
-        let server = Server::bind_sharded("127.0.0.1:0", service_of(8), shards).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "compview-sharded-barrier-{}-{shards}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut svc = Service::new();
+        for i in 0..8 {
+            let sig = sig();
+            svc.create_durable_session(
+                &dir,
+                &format!("s{i}"),
+                SubschemaComponents::singletons(sig.clone()),
+                Schema::unconstrained(sig.clone()),
+                &pools(),
+                Instance::null_model(&sig).with("R", rel(1, [["a1"]])),
+                SessionConfig::default(),
+                SyncPolicy::Never,
+            )
+            .unwrap();
+        }
+        let names: Vec<String> = (0..8).map(|i| format!("s{i}")).collect();
+        let initial: Vec<u64> = names
+            .iter()
+            .map(|n| svc.session(n).unwrap().wal_last_seq())
+            .collect();
+        let options = ServeOptions {
+            shards,
+            trace_sample: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", svc, options).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let k = 40usize;
+        let ids = DistTracer::new();
+        let mut traces = Vec::with_capacity(k);
         for i in 0..k {
-            client
-                .send(&format!("s{}", i % 8), &SessionRequest::Stats)
-                .unwrap();
+            let ctx = TraceCtx {
+                trace_id: ids.new_trace_id(),
+                parent_span: 0,
+            };
+            traces.push(ctx.trace_id);
+            let write = SessionRequest::RegisterView {
+                name: format!("v{i}"),
+                mask: 0b01,
+            };
+            client.send_traced(&names[i % 8], &write, ctx).unwrap();
         }
         client.send_metrics().unwrap();
+        client.send_sessions().unwrap();
+        client.send_trace().unwrap();
+        client.send_topology().unwrap();
         for _ in 0..k {
             client.recv().unwrap().unwrap();
         }
         let snap = client.recv_metrics().unwrap();
-        server.shutdown();
+        let listing = client.recv_sessions().unwrap();
+        let drained = client.recv_trace().unwrap();
+        let topology = client.recv_topology().unwrap();
+        let merged = server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             counter(&snap, "session.requests"),
             k as u64,
@@ -244,6 +295,30 @@ fn probe_behind_pipelined_requests_observes_all_of_them() {
             counter(&snap, "session.requests"),
             counter(&snap, "session.accepted") + counter(&snap, "session.rejected")
         );
+
+        assert_eq!(listing.sessions, names, "{shards} shards: listing");
+        assert_eq!(listing.leader, None);
+        let rows: Vec<&str> = topology.sessions.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(rows, names, "{shards} shards: topology rows");
+        for (row, before) in topology.sessions.iter().zip(&initial) {
+            let session = merged.session(&row.name).unwrap();
+            assert_eq!(session.wal_last_seq(), before + (k / 8) as u64);
+            assert_eq!(
+                (row.gen, row.applied),
+                (session.wal_gen(), session.wal_last_seq()),
+                "{shards} shards: {} behind its writes",
+                row.name
+            );
+        }
+        for id in traces {
+            assert!(
+                drained
+                    .spans
+                    .iter()
+                    .any(|s| s.trace_id == id && s.label == "shard.queue"),
+                "{shards} shards: trace {id:016x} has no shard.queue span"
+            );
+        }
     }
 }
 

@@ -27,7 +27,8 @@
 //! [`service::Service`] multiplexes named sessions and dispatches request
 //! batches across them: each touched session's queue is served on the
 //! dispatcher thread, in session-name order, and shards are the
-//! parallelism ([`service::ShardedService`], the sharded server).
+//! parallelism (the sharded server runs one [`Service::split`] part per
+//! dispatcher).
 //! Per-session request order is preserved and sessions are independent,
 //! so results are byte-identical for every thread and shard count.
 //!
@@ -50,7 +51,7 @@ pub mod sub;
 pub mod wal;
 
 pub use obs::{SessionObs, WalObs};
-pub use service::{shard_of, DispatchError, Service, ServiceError, ShardedService};
+pub use service::{shard_of, DispatchError, Service, ServiceError};
 pub use store::{FaultPlan, FaultyStore, FsStore, LogStore, MemStore, SharedBytes};
 pub use sub::{DeltaEvent, DeltaKind, TerminateReason};
 pub use wal::{RecoverError, RecoveryReport, RecoveryStop, SyncPolicy};
@@ -880,7 +881,6 @@ impl<F: ComponentFamily + Sync> Session<F> {
     ) -> Result<(Session<F>, RecoveryReport), RecoverError> {
         let obs = SessionObs::new(registry);
         let replay_timer = obs.replay_ns.start();
-        let _replay_span = obs.tracer.span("wal.replay", 0);
         let bytes = store
             .read_all()
             .map_err(|e| RecoverError::Io(e.to_string()))?;
@@ -991,7 +991,6 @@ impl<F: ComponentFamily + Sync> Session<F> {
             });
         }
         let timer = self.obs.checkpoint_ns.start();
-        let _span = self.obs.tracer.span("session.checkpoint", 0);
         let snapshot = wal::encode_snapshot(&self.snapshot_parts()?);
         let writer = self.wal.as_mut().expect("checked above");
         writer
@@ -1073,7 +1072,6 @@ impl<F: ComponentFamily + Sync> Session<F> {
             return Ok(());
         }
         let payload = wal::encode_request(req);
-        self.obs.tracer.instant("wal.encode", payload.len() as u64);
         let append_span = self
             .cur_trace
             .map(|ctx| self.obs.dtracer.span(ctx, "wal.append"));
@@ -1139,7 +1137,6 @@ impl<F: ComponentFamily + Sync> Session<F> {
     pub fn serve(&mut self, req: SessionRequest) -> Result<SessionResponse, SessionError> {
         let variant = SessionObs::variant_index(&req);
         let timer = self.obs.variant_hist_at(variant).start();
-        let span = self.obs.tracer.span("session.serve", 0);
         let durable = req.is_durable() && self.wal.is_some();
         let outcome = if let (true, Some(leader)) = (req.is_durable(), self.read_only.as_ref()) {
             // A follower refuses writes *before* logging: locally logged
@@ -1175,7 +1172,6 @@ impl<F: ComponentFamily + Sync> Session<F> {
                 Err(e)
             }
         };
-        drop(span);
         if let Some(t) = timer {
             let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.obs.variant_hist_at(variant).record(ns);
@@ -1699,12 +1695,10 @@ impl<F: ComponentFamily + Sync> Session<F> {
         if self.cache.contains_key(&mask) {
             self.stats.cache_hits += 1;
             self.obs.cache_hits.inc();
-            self.obs.tracer.instant("cache.hit", u64::from(mask));
             return Ok(());
         }
         self.stats.cache_misses += 1;
         self.obs.cache_misses.inc();
-        self.obs.tracer.instant("cache.miss", u64::from(mask));
         let map = {
             let family = self.catalog.family();
             let space = &self.space;

@@ -10,7 +10,7 @@
 //! how many sessions a service hosts.
 
 use compview_logic::EnumObs;
-use compview_obs::{Counter, DistTracer, Gauge, Histogram, Registry, Reservoir, Tracer};
+use compview_obs::{Counter, DistTracer, Gauge, Histogram, Registry, Reservoir};
 
 /// Instruments owned by a [`crate::Session`].
 #[derive(Clone, Default)]
@@ -101,9 +101,6 @@ pub struct SessionObs {
     /// WAL writer instruments (shared with the session's
     /// `wal::WalWriter`).
     pub wal: WalObs,
-    /// Span/instant sink ("session.serve" spans labelled per request,
-    /// "cache.hit"/"cache.miss" instants carrying the mask).
-    pub tracer: Tracer,
     /// Distributed-span sink for requests carrying a wire trace context
     /// ("session.dispatch", "wal.append", "repl.apply", "sub.publish").
     pub dtracer: DistTracer,
@@ -154,7 +151,6 @@ impl SessionObs {
             repl_apply_tail_ns: registry.reservoir("repl.apply_tail_ns"),
             enum_obs: EnumObs::new(registry),
             wal: WalObs::new(registry),
-            tracer: registry.tracer(),
             dtracer: registry.dtracer(),
         }
     }
@@ -223,9 +219,6 @@ pub struct WalObs {
     /// Current log length in bytes — what
     /// [`crate::CheckpointPolicy::max_log_bytes`] watches.
     pub log_bytes: Gauge,
-    /// Span sink ("wal.append" / "wal.fsync" spans carrying byte and
-    /// record counts).
-    pub tracer: Tracer,
 }
 
 impl WalObs {
@@ -243,7 +236,6 @@ impl WalObs {
             flush_records: registry.histogram("wal.flush_records"),
             records_since_checkpoint: registry.gauge("wal.records_since_checkpoint"),
             log_bytes: registry.gauge("wal.log_bytes"),
-            tracer: registry.tracer(),
         }
     }
 }

@@ -4,8 +4,8 @@
 //! Sessions are fully independent (each owns its schema, pools, space,
 //! and views), so a batch is cut into per-session queues and each queue
 //! is served on the dispatcher thread, in session-name order; shards are
-//! the parallelism ([`ShardedService`], the sharded server), never a
-//! per-batch worker pool.  Determinism contract: per-session request
+//! the parallelism (the sharded server's dispatchers, each owning one
+//! [`Service::split`] part), never a per-batch worker pool.  Determinism contract: per-session request
 //! order is the batch order, and session handling is sequential within a
 //! session, so the result vector is **byte-identical for every thread
 //! and shard count**.
@@ -349,8 +349,8 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
     /// thread.  Results come back in batch order; each touched session
     /// serves its own requests in batch order, one session after another
     /// in session-name order.  Parallelism lives a layer up, in the
-    /// shards ([`ShardedService`], the sharded server): each shard's
-    /// dispatcher thread calls this on its own partition.
+    /// sharded server: each shard's dispatcher thread calls this on its
+    /// own [`Service::split`] part.
     ///
     /// Durable sessions run their queue under **group commit**: the
     /// per-record fsyncs their [`SyncPolicy`] would issue are deferred
@@ -437,8 +437,9 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
     /// order within a session).  Sessions are independent and each
     /// subscription's events come from exactly one session, so this
     /// order is deterministic for a deterministic request stream — the
-    /// same contract at any thread count, and [`ShardedService`]
-    /// re-establishes it at any shard count.
+    /// same contract at any thread count.  Each session lives on one
+    /// [`Service::split`] part, so a shard's drain keeps its sessions'
+    /// commit order at any shard count.
     pub fn drain_events(&mut self) -> Vec<(String, crate::DeltaEvent)> {
         let mut out = Vec::new();
         for (name, session) in self.sessions.iter_mut() {
@@ -505,118 +506,5 @@ impl<F: ComponentFamily + Send + Sync> Service<F> {
             }
         }
         target
-    }
-}
-
-/// [`Service`] dispatch partitioned across shard-owned services — the
-/// in-process model of the sharded TCP server's dispatcher pool, and the
-/// determinism baseline its tests compare against.
-///
-/// Requests route to [`shard_of`]`(session, N)`; each shard runs its
-/// sub-batch through its own [`Service::dispatch`] (group commit and
-/// per-session ordering included) on its own thread, and the results are
-/// stitched back into batch positions.  Sessions never move between
-/// shards, and a session's requests keep batch order, so the result
-/// vector — and every session's WAL bytes — is **byte-identical to
-/// unsharded dispatch at any shard count**.
-pub struct ShardedService<F: ComponentFamily + Send + Sync> {
-    shards: Vec<Service<F>>,
-}
-
-impl<F: ComponentFamily + Send + Sync> ShardedService<F> {
-    /// Partition `service` into `shards` dispatch shards (see
-    /// [`Service::split`]).
-    pub fn new(service: Service<F>, shards: usize) -> ShardedService<F> {
-        ShardedService {
-            shards: service.split(shards),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard services, in shard order (shard 0 first).
-    pub fn shards(&self) -> &[Service<F>] {
-        &self.shards
-    }
-
-    /// Fold the shards back into one service ([`Service::merge`]).
-    pub fn into_service(self) -> Service<F> {
-        Service::merge(self.shards)
-    }
-
-    /// [`Service::dispatch`], fanned across the shards: each shard's
-    /// sub-batch runs concurrently on its own thread, results return in
-    /// batch order, byte-identical to unsharded dispatch (see the type
-    /// docs).
-    pub fn dispatch(
-        &mut self,
-        batch: Vec<(String, SessionRequest)>,
-    ) -> Vec<Result<SessionResponse, DispatchError>> {
-        let n = self.shards.len().max(1);
-        let total = batch.len();
-        let mut sub: Vec<Vec<(usize, String, SessionRequest)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (pos, (name, req)) in batch.into_iter().enumerate() {
-            let i = shard_of(&name, n);
-            sub[i].push((pos, name, req));
-        }
-        let mut out: Vec<Option<Result<SessionResponse, DispatchError>>> =
-            (0..total).map(|_| None).collect();
-        type ShardResults = Vec<(Vec<usize>, Vec<Result<SessionResponse, DispatchError>>)>;
-        let results: ShardResults = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(sub)
-                .map(|(service, items)| {
-                    scope.spawn(move || {
-                        let mut positions = Vec::with_capacity(items.len());
-                        let mut shard_batch = Vec::with_capacity(items.len());
-                        for (pos, name, req) in items {
-                            positions.push(pos);
-                            shard_batch.push((name, req));
-                        }
-                        (positions, service.dispatch(shard_batch))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard dispatch panicked"))
-                .collect()
-        });
-        for (positions, answers) in results {
-            for (pos, answer) in positions.into_iter().zip(answers) {
-                out[pos] = Some(answer);
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every batch position answered"))
-            .collect()
-    }
-
-    /// [`Service::drain_events`] across the shards, re-merged into
-    /// session-name order.  Each session lives on exactly one shard and
-    /// shards preserve per-session commit order, so the merged stream is
-    /// byte-identical to unsharded [`Service::drain_events`] for the
-    /// same dispatch history, at any shard count.
-    pub fn drain_events(&mut self) -> Vec<(String, crate::DeltaEvent)> {
-        let mut all: Vec<(String, crate::DeltaEvent)> = Vec::new();
-        for shard in self.shards.iter_mut() {
-            all.extend(shard.drain_events());
-        }
-        // Stable sort: within one session (one shard) commit order is
-        // preserved; across sessions, name order matches `Service`.
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    /// Borrow a session wherever it lives (its owning shard).
-    pub fn session_mut(&mut self, name: &str) -> Option<&mut Session<F>> {
-        let i = shard_of(name, self.shards.len().max(1));
-        self.shards[i].session_mut(name)
     }
 }

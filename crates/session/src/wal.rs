@@ -1084,7 +1084,6 @@ impl WalWriter {
             self.since_flush = 0;
             return Ok(());
         }
-        let _span = self.obs.tracer.span("wal.fsync", self.since_flush);
         let timer = self.obs.fsync_ns.start();
         self.store.sync()?;
         self.obs.fsync_ns.stop(timer);
@@ -1128,7 +1127,6 @@ impl WalWriter {
     }
 
     fn append_framed(&mut self, rec: Vec<u8>) -> io::Result<Vec<u8>> {
-        let _span = self.obs.tracer.span("wal.append", rec.len() as u64);
         match self.append_and_maybe_sync(&rec) {
             Ok(()) => {
                 self.next_seq += 1;

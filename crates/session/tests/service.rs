@@ -7,7 +7,7 @@ use compview_core::{CatalogError, ComponentFamily, EditError, SubschemaComponent
 use compview_logic::Schema;
 use compview_relation::{rel, v, Instance, RelDecl, Relation, Signature, Tuple};
 use compview_session::{
-    DispatchError, FaultPlan, FaultyStore, Service, Session, SessionConfig, SessionError,
+    shard_of, DispatchError, FaultPlan, FaultyStore, Service, Session, SessionConfig, SessionError,
     SessionRequest, SessionResponse, SessionStats, SyncPolicy,
 };
 use std::collections::BTreeMap;
@@ -784,14 +784,28 @@ fn sharded_dispatch_is_byte_identical_to_unsharded() {
     };
 
     for shards in [1usize, 2, 8] {
-        let mut sharded = compview_session::ShardedService::new(build(), shards);
-        assert_eq!(sharded.shard_count(), shards);
-        let got = sharded.dispatch(demo_batch());
+        // Route the batch the way the sharded server does: each request
+        // to its session's `split` part, each part dispatching its share
+        // in batch order, answers stitched back into batch positions.
+        let mut parts = build().split(shards);
+        assert_eq!(parts.len(), shards);
+        let mut shares: Vec<Vec<(usize, (String, SessionRequest))>> = vec![Vec::new(); shards];
+        for (pos, (name, req)) in demo_batch().into_iter().enumerate() {
+            shares[shard_of(&name, shards)].push((pos, (name, req)));
+        }
+        let mut got: Vec<Option<Result<SessionResponse, DispatchError>>> = vec![None; expect.len()];
+        for (part, share) in parts.iter_mut().zip(shares) {
+            let (positions, batch): (Vec<usize>, Vec<_>) = share.into_iter().unzip();
+            for (pos, answer) in positions.into_iter().zip(part.dispatch(batch)) {
+                got[pos] = Some(answer);
+            }
+        }
+        let got: Vec<_> = got.into_iter().map(Option::unwrap).collect();
         assert_eq!(got, expect, "shards = {shards}");
 
         // Folding the shards back yields the same sessions, states, and
         // service-wide session counters as the unsharded run.
-        let merged = sharded.into_service();
+        let merged = Service::merge(parts);
         assert_eq!(
             merged.session_names().collect::<Vec<_>>(),
             vec!["alpha", "beta", "gamma"]
@@ -822,7 +836,6 @@ fn sharded_dispatch_is_byte_identical_to_unsharded() {
     }
 
     // The routing hash is pinned: stable across runs and platforms.
-    use compview_session::shard_of;
     assert_eq!(shard_of("alpha", 1), 0);
     assert_eq!(shard_of("", 4), shard_of("", 4));
     for name in ["alpha", "beta", "gamma", "orders"] {

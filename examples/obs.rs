@@ -1,19 +1,21 @@
 //! Observability walkthrough: metrics and tracing end to end.
 //!
 //! A durable service (with automatic checkpointing) runs behind the TCP
-//! server; a client pipelines a workload, then asks for the service-wide
+//! server with every traced request sampled; a client pipelines a
+//! workload and one traced update, then asks for the service-wide
 //! metrics snapshot **over the wire** — the `Metrics` request rides the
-//! same CRC-gated frames as everything else.  Afterwards the example
-//! renders the registry in Prometheus text format and prints the
-//! ring-buffer tracer's span breakdown of the workload (DESIGN.md §11).
+//! same CRC-gated frames as everything else — and drains the server's
+//! span buffer with `Trace`.  The example renders the metrics in
+//! Prometheus text format and prints the traced update's spans, one row
+//! per label (DESIGN.md §11).
 //!
 //! Run with: `cargo run --example obs`
 
 use compview::core::SubschemaComponents;
 use compview::logic::Schema;
-use compview::obs::TraceKind;
+use compview::obs::{DistTracer, TraceCtx};
 use compview::relation::{rel, v, Instance, RelDecl, Signature, Tuple};
-use compview::serve::{Client, Server};
+use compview::serve::{Client, ServeOptions, Server};
 use compview::session::{CheckpointPolicy, Service, SessionConfig, SessionRequest, SyncPolicy};
 use std::collections::BTreeMap;
 
@@ -42,7 +44,6 @@ fn main() {
     // 1. A service (its registry is live by default) hosting one durable
     //    session that compacts its own log every 8 records.
     let mut service = Service::new();
-    service.registry().tracer().enable(512);
     let config = SessionConfig {
         checkpoint: CheckpointPolicy {
             max_records: 8,
@@ -63,8 +64,13 @@ fn main() {
         )
         .unwrap();
 
-    // 2. Serve a pipelined workload over TCP.
-    let server = Server::bind("127.0.0.1:0", service).unwrap();
+    // 2. Serve a pipelined workload over TCP, recording the spans of
+    //    every traced request.
+    let options = ServeOptions {
+        trace_sample: 1,
+        ..ServeOptions::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", service, options).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client
         .send(
@@ -96,41 +102,52 @@ fn main() {
             .unwrap();
         sent += 2;
     }
+    // 3. One more update, carrying a trace context: the server records
+    //    its shard-queue wait, dispatch, WAL append and fsync as spans.
+    let ctx = TraceCtx {
+        trace_id: DistTracer::new().new_trace_id(),
+        parent_span: 0,
+    };
+    client
+        .send_traced(
+            "orders",
+            &SessionRequest::Update {
+                view: "sup".into(),
+                new_state: Instance::null_model(&sig).with("Suppliers", rel(1, [["s2"]])),
+            },
+            ctx,
+        )
+        .unwrap();
+    sent += 1;
     for _ in 0..sent {
         client.recv().unwrap().unwrap();
     }
 
-    // 3. The metrics snapshot, fetched over the wire like any request.
+    // 4. The metrics snapshot, fetched over the wire like any request.
     let snapshot = client.metrics().unwrap();
     println!("=== metrics over the wire (Prometheus text format) ===");
     print!("{}", snapshot.render_text());
 
-    // 4. Shut down, then read the tracer's recent-event window.
-    drop(client);
-    let service = server.shutdown();
-    let (events, recorded) = service.registry().tracer().snapshot();
-    println!(
-        "=== trace ring: {} of {} events retained ===",
-        events.len(),
-        recorded
-    );
-    let mut starts: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-    for e in &events {
-        match e.kind {
-            TraceKind::Start => starts.entry(e.label).or_default().2 = e.at_ns,
-            TraceKind::End => {
-                let slot = starts.entry(e.label).or_default();
-                slot.0 += 1;
-                slot.1 += e.at_ns.saturating_sub(slot.2);
-            }
-            TraceKind::Instant => {
-                starts.entry(e.label).or_default().0 += 1;
-            }
-        }
+    // 5. The span buffer, drained over the wire: the traced update's
+    //    spans, one row per label.
+    let trace = client.trace().unwrap();
+    let mut labels: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for span in trace.spans.iter().filter(|s| s.trace_id == ctx.trace_id) {
+        let row = labels.entry(&span.label).or_default();
+        row.0 += 1;
+        row.1 += span.dur_ns;
     }
-    for (label, (count, total_ns, _)) in &starts {
+    println!(
+        "=== trace {:016x} on {}: {} label(s) ===",
+        ctx.trace_id,
+        trace.node,
+        labels.len()
+    );
+    for (label, (count, total_ns)) in &labels {
         println!("  {label:<20} x{count:<4} {total_ns} ns total");
     }
+    drop(client);
+    server.shutdown();
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -81,9 +81,14 @@ cargo build --example session --example recovery --example serve
 cargo build --benches -p compview-bench
 
 # The observability walkthrough doubles as a smoke test: metrics over
-# the wire, Prometheus rendering, and the span tracer end to end.
+# the wire, Prometheus rendering, and the span tracer end to end — the
+# traced update's dispatch, WAL append and fsync spans must come back
+# through the `Trace` drain.
 echo "==> cargo run --example obs (observability smoke)"
-cargo run -q --example obs > /dev/null
+obs_out="$(cargo run -q --example obs)"
+grep -qF "  session.dispatch " <<< "$obs_out"
+grep -qF "  wal.append " <<< "$obs_out"
+grep -qF "  wal.fsync " <<< "$obs_out"
 
 # The subscription walkthrough doubles as a push-path smoke test: a live
 # delta stream over TCP must deliver all three updates in sequence.

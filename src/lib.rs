@@ -22,7 +22,7 @@
 //! | [`core`] | views, update strategies & admissibility, complements, strong views, **the component algebra**, constant-complement translation, symbolic path-schema components, workload generators |
 //! | [`session`] | the multi-session view-update service: typed requests, incremental state-space maintenance, component caching, deterministic batch dispatch |
 //! | [`serve`] | the network front end: CRC-framed wire protocol over the session codec, threaded batch server with group commit, blocking client |
-//! | [`obs`] | observability: lock-free counters/gauges/histograms, a ring-buffer tracer, wire-codec metrics snapshots, Prometheus-style text rendering |
+//! | [`obs`] | observability: lock-free counters/gauges/histograms, a sampled cross-process span tracer, wire-codec metrics and trace snapshots, Prometheus-style text rendering |
 //!
 //! ## Quickstart
 //!
