@@ -12,7 +12,10 @@
 //! its mean **divided by 16** is the per-request cost to compare against
 //! the `append_*` ladder.  `recover_64` is the full crash-restart path:
 //! read the log, decode the snapshot, re-enumerate the state space, and
-//! replay 64 logged requests through `serve`.
+//! replay 64 logged requests through `serve`.  Its source session is
+//! dropped before the leg: state spaces are shared per key, so while any
+//! session of the key is alive a recovery only looks its space up, and
+//! the leg would price a lookup instead of a cold recovery.
 
 use compview_bench::header;
 use compview_core::SubschemaComponents;
@@ -144,6 +147,9 @@ fn bench_wal(c: &mut Criterion) {
         update_undo(&mut session);
     }
     let bytes = shared.lock().unwrap().clone();
+    // No session of this key may outlive its leg: each iteration must
+    // enumerate the space, not find it live.
+    drop(session);
     group.bench_function("recover_64", |b| {
         b.iter(|| {
             let (session, report) = Session::<SubschemaComponents>::recover(

@@ -38,11 +38,43 @@
 //! The result is checked byte-identical to a fresh enumeration by
 //! [`StateSpace::validate_against_full`] (used by the cross-validation
 //! tests and `compview-session`'s paranoid mode).
+//!
+//! # One space per key
+//!
+//! A space is a pure function of its **key**: the schema (signature and
+//! constraints), the per-relation pools in their order, and `max_bits`.
+//! The thread count is not part of it, since enumeration output is the
+//! same at every thread count.  [`StateSpace::shared`] interns spaces by
+//! key in a process-wide table, in the style of the symbol interner in
+//! `compview-relation`: every caller asking for a live key gets an
+//! `Arc` of the same allocation, and only a miss enumerates.  A hit is
+//! decided by comparing the whole key, never by its hash alone.
+//!
+//! - The table keeps only `Weak` handles.  A space lives exactly as long
+//!   as someone holds it, and dead entries are pruned on later lookups
+//!   and publications.
+//! - The table's lock covers lookups and publications only, never an
+//!   enumeration or a patch.  Two racing misses on one key both build it;
+//!   the second to publish adopts the first one's allocation.
+//! - A pool edit is a move between keys ([`StateSpace::edit_shared`]).
+//!   On a hit the old→new id trace looks each old state up in the live
+//!   child; on a miss the incremental patch runs on a private copy of the
+//!   parent (no copy when the caller held the only handle), which is then
+//!   published.  Either way the caller sees the same report and the same
+//!   trace.
+//! - The reference paths never look up: [`StateSpace::enumerate`] and
+//!   friends, [`StateSpace::edit_full`] and
+//!   [`StateSpace::validate_against_full`] build their own spaces.
 
 use compview_lattice::FinPoset;
-use compview_logic::{EnumerationConfig, LegalBlock, Schema};
+use compview_logic::{EnumObs, EnumerationConfig, LegalBlock, Schema};
 use compview_relation::{binio, Instance, Tuple};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+
+/// Per-relation tuple pools, keyed by relation name.
+type Pools = BTreeMap<String, Vec<Tuple>>;
 
 /// An explicitly enumerated `LDB(D, μ)` with its inclusion order.
 #[derive(Clone)]
@@ -152,11 +184,181 @@ impl std::fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
+/// One pool edit: a single tuple into or out of one relation's pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PoolEdit<'a> {
+    /// Append the tuple to the relation's pool.
+    Insert(&'a str, &'a Tuple),
+    /// Remove the tuple from the relation's pool.
+    Remove(&'a str, &'a Tuple),
+}
+
+/// Pools that do not fit the schema they were offered with.
+/// [`StateSpace::shared`] refuses them before enumerating anything.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PoolError {
+    /// A declared relation has no pool.
+    MissingPool(String),
+    /// A pool tuple's arity differs from its relation's.
+    ArityMismatch {
+        /// The relation whose pool holds the tuple.
+        relation: String,
+        /// The relation's declared arity.
+        expected: usize,
+        /// The tuple's arity.
+        got: usize,
+    },
+    /// The raw pool bits exceed the enumeration guard.
+    TooLarge {
+        /// Raw pool bits over the declared relations.
+        bits: usize,
+        /// The guard.
+        max_bits: usize,
+    },
+}
+
+impl std::fmt::Display for PoolError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PoolError::MissingPool(r) => write!(f, "no tuple pool for relation {r:?}"),
+            PoolError::ArityMismatch {
+                relation,
+                expected,
+                got,
+            } => write!(
+                f,
+                "pool of {relation:?} holds a tuple of arity {got}, expected {expected}"
+            ),
+            PoolError::TooLarge { bits, max_bits } => write!(
+                f,
+                "state space 2^{bits} too large to enumerate (max_bits = {max_bits})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PoolError {}
+
+/// Check `pools` against `schema` and the guard, exactly where the
+/// enumerator would otherwise panic: every declared relation has a pool,
+/// every pool tuple has its relation's arity, and the pool bits fit.
+fn check_pools(schema: &Schema, pools: &Pools, max_bits: usize) -> Result<(), PoolError> {
+    let mut bits = 0;
+    for d in schema.sig().decls() {
+        let pool = pools
+            .get(d.name())
+            .ok_or_else(|| PoolError::MissingPool(d.name().to_owned()))?;
+        if let Some(t) = pool.iter().find(|t| t.arity() != d.arity()) {
+            return Err(PoolError::ArityMismatch {
+                relation: d.name().to_owned(),
+                expected: d.arity(),
+                got: t.arity(),
+            });
+        }
+        bits += pool.len();
+    }
+    if bits > max_bits {
+        return Err(PoolError::TooLarge { bits, max_bits });
+    }
+    Ok(())
+}
+
+/// The interner table: key hash → weak handles of the spaces published
+/// under that hash.
+type Table = HashMap<u64, Vec<Weak<StateSpace>>>;
+
+fn table_lock() -> &'static Mutex<Table> {
+    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
+    TABLE.get_or_init(Mutex::default)
+}
+
+fn table() -> MutexGuard<'static, Table> {
+    // The table holds only weak handles and no code that can panic runs
+    // under its lock, so a poisoned guard still guards a consistent map.
+    table_lock().lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Bucket of a key.  Only a bucket: hits compare the whole key.
+fn key_hash(pools: &Pools, max_bits: usize) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    pools.hash(&mut h);
+    max_bits.hash(&mut h);
+    h.finish()
+}
+
+/// The live space published under this key, if any; a hit bumps
+/// `obs.reused`.
+fn lookup(
+    schema: &Schema,
+    pools: &Pools,
+    max_bits: usize,
+    obs: &EnumObs,
+) -> Option<Arc<StateSpace>> {
+    let h = key_hash(pools, max_bits);
+    let mut table = table();
+    let bucket = table.get_mut(&h)?;
+    bucket.retain(|w| w.strong_count() > 0);
+    let hit = bucket
+        .iter()
+        .filter_map(Weak::upgrade)
+        .find(|sp| sp.has_key(schema, pools, max_bits));
+    if bucket.is_empty() {
+        table.remove(&h);
+    }
+    drop(table);
+    if hit.is_some() {
+        obs.reused.inc();
+    }
+    hit
+}
+
+/// Make `space` the entry of its key and return the handle callers should
+/// hold.  A live entry of the same key wins (a racing miss adopts it)
+/// unless `displace` is set, which replaces it — the cross-validation
+/// repair's way to retire a patched space that diverged.  Dead entries
+/// of every key are pruned on the way.
+fn publish(space: Arc<StateSpace>, displace: bool) -> Arc<StateSpace> {
+    let inc = space
+        .inc
+        .as_ref()
+        .expect("only enumerated spaces are interned");
+    let h = key_hash(&inc.pools, inc.max_bits);
+    let mut table = table();
+    table.retain(|_, bucket| {
+        bucket.retain(|w| w.strong_count() > 0);
+        !bucket.is_empty()
+    });
+    let bucket = table.entry(h).or_default();
+    let live = bucket.iter().enumerate().find_map(|(i, w)| {
+        w.upgrade()
+            .filter(|sp| sp.has_key(&space.schema, &inc.pools, inc.max_bits))
+            .map(|sp| (i, sp))
+    });
+    match live {
+        Some((_, sp)) if !displace => sp,
+        live => {
+            if let Some((i, _)) = live {
+                bucket.swap_remove(i);
+            }
+            bucket.push(Arc::downgrade(&space));
+            space
+        }
+    }
+}
+
 /// Sorted-id index over `states` (uses `Instance`'s derived total order).
 fn id_index(states: &[Instance]) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..states.len()).collect();
     ids.sort_unstable_by(|&a, &b| states[a].cmp(&states[b]));
     ids
+}
+
+/// The enumeration config for a guard, at the process's thread count.
+fn config(max_bits: usize) -> EnumerationConfig {
+    EnumerationConfig {
+        max_bits,
+        threads: compview_parallel::num_threads(),
+    }
 }
 
 impl StateSpace {
@@ -638,53 +840,46 @@ impl StateSpace {
         ))
     }
 
-    /// [`StateSpace::insert_tuple`] by full re-enumeration — same
-    /// validation and result, none of the patching.  The baseline the
-    /// incremental path is benchmarked against, and `compview-session`'s
-    /// `incremental: false` mode.
-    pub fn insert_tuple_full(&mut self, rel: &str, t: Tuple) -> Result<EditReport, EditError> {
-        self.check_insert(rel, &t)?;
-        let inc = self.inc.as_ref().expect("checked editable");
-        let mut pools = inc.pools.clone();
-        pools.get_mut(rel).expect("checked relation").push(t);
-        self.replace_from(pools, inc.max_bits)
-    }
-
-    /// [`StateSpace::remove_tuple`] by full re-enumeration.
-    pub fn remove_tuple_full(&mut self, rel: &str, t: &Tuple) -> Result<EditReport, EditError> {
-        let (_, p) = self.check_remove(rel, t)?;
-        let inc = self.inc.as_ref().expect("checked editable");
-        let mut pools = inc.pools.clone();
-        pools.get_mut(rel).expect("checked relation").remove(p);
-        self.replace_from(pools, inc.max_bits)
-    }
-
-    /// Re-enumerate this space from its recorded pools, discarding any
-    /// incremental structure (the recovery path when a cross-validation
-    /// fails).
-    pub fn rebuild(&mut self) -> Result<(), EditError> {
-        let inc = self.inc.as_ref().ok_or(EditError::NotEditable)?;
-        let pools = inc.pools.clone();
-        let max_bits = inc.max_bits;
-        self.replace_from(pools, max_bits)?;
-        Ok(())
-    }
-
-    fn replace_from(
-        &mut self,
-        pools: BTreeMap<String, Vec<Tuple>>,
-        max_bits: usize,
-    ) -> Result<EditReport, EditError> {
-        let before = self.states.len();
-        let cfg = EnumerationConfig {
-            max_bits,
-            threads: compview_parallel::num_threads(),
+    /// `edit` by full re-enumeration into a new space, leaving this one
+    /// as it is: the same validation and result as the incremental edits,
+    /// none of the patching.  The reference path (`compview-session`'s
+    /// `incremental: false` mode); never consults the interner.
+    pub fn edit_full(&self, edit: PoolEdit<'_>) -> Result<(EditReport, StateSpace), EditError> {
+        let next = self.reenumerate(&self.edited_pools(edit)?);
+        let report = EditReport {
+            states_before: self.len(),
+            states_after: next.len(),
         };
-        *self = StateSpace::enumerate_with(self.schema.clone(), &pools, &cfg);
-        Ok(EditReport {
-            states_before: before,
-            states_after: self.states.len(),
-        })
+        Ok((report, next))
+    }
+
+    /// A fresh enumeration of `pools` under this space's schema and guard.
+    fn reenumerate(&self, pools: &Pools) -> StateSpace {
+        let inc = self
+            .inc
+            .as_ref()
+            .expect("only enumerated spaces re-enumerate");
+        StateSpace::enumerate_with(self.schema.clone(), pools, &config(inc.max_bits))
+    }
+
+    /// Validate `edit` exactly as the edit methods do and return the pools
+    /// it leads to: the key of the edited space.
+    fn edited_pools(&self, edit: PoolEdit<'_>) -> Result<Pools, EditError> {
+        let mut pools = self.pools().ok_or(EditError::NotEditable)?.clone();
+        match edit {
+            PoolEdit::Insert(rel, t) => {
+                self.check_insert(rel, t)?;
+                pools
+                    .get_mut(rel)
+                    .expect("checked relation")
+                    .push(t.clone());
+            }
+            PoolEdit::Remove(rel, t) => {
+                let (_, p) = self.check_remove(rel, t)?;
+                pools.get_mut(rel).expect("checked relation").remove(p);
+            }
+        }
+        Ok(pools)
     }
 
     /// Serialise this space's enumeration provenance — pools and the
@@ -723,38 +918,36 @@ impl StateSpace {
     ///
     /// # Panics
     /// Panics like [`StateSpace::enumerate_with`] does when the decoded
-    /// pools are illegal for `schema` (exceed the recorded guard, lack the
-    /// null model property) — snapshot bytes are CRC-protected by their
-    /// callers, so reaching enumeration with hostile pools indicates a
-    /// schema mismatch, which is a caller error, not corruption.
+    /// pools are illegal for `schema`.  [`StateSpace::decode_geometry`]
+    /// plus [`StateSpace::shared`] refuses such pools with a typed error
+    /// instead.
     pub fn decode_snapshot(
         schema: Schema,
         dec: &mut binio::Dec<'_>,
     ) -> Result<StateSpace, binio::DecodeError> {
-        StateSpace::decode_snapshot_observed(schema, dec, &compview_logic::EnumObs::noop())
+        let (pools, max_bits) = StateSpace::decode_geometry(dec)?;
+        Ok(StateSpace::enumerate_with(
+            schema,
+            &pools,
+            &config(max_bits),
+        ))
     }
 
-    /// [`StateSpace::decode_snapshot`] with enumeration instrumentation
-    /// (recovery re-derives the space by enumerating the decoded pools,
-    /// which is the dominant cost of bringing a session back up).
-    pub fn decode_snapshot_observed(
-        schema: Schema,
-        dec: &mut binio::Dec<'_>,
-        obs: &compview_logic::EnumObs,
-    ) -> Result<StateSpace, binio::DecodeError> {
+    /// Decode the geometry [`StateSpace::encode_snapshot`] wrote: the pools
+    /// and the enumeration guard, without enumerating anything.
+    ///
+    /// # Errors
+    /// Any [`binio::DecodeError`] from a malformed buffer.
+    pub fn decode_geometry(dec: &mut binio::Dec<'_>) -> Result<(Pools, usize), binio::DecodeError> {
         let max_bits = dec.u64()? as usize;
         let n = dec.u32()? as usize;
-        let mut pools: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+        let mut pools = Pools::new();
         for _ in 0..n {
             let name = dec.str()?;
             let pool = dec.tuples()?;
             pools.insert(name, pool);
         }
-        let cfg = EnumerationConfig {
-            max_bits,
-            threads: compview_parallel::num_threads(),
-        };
-        Ok(StateSpace::enumerate_observed(schema, &pools, &cfg, obs))
+        Ok((pools, max_bits))
     }
 
     /// Assert this (incrementally edited) space is byte-identical to a
@@ -765,11 +958,7 @@ impl StateSpace {
             .inc
             .as_ref()
             .ok_or_else(|| "space has no pools (built from explicit states)".to_owned())?;
-        let cfg = EnumerationConfig {
-            max_bits: inc.max_bits,
-            threads: compview_parallel::num_threads(),
-        };
-        let fresh = StateSpace::enumerate_with(self.schema.clone(), &inc.pools, &cfg);
+        let fresh = self.reenumerate(&inc.pools);
         if fresh.states != self.states {
             return Err("incremental states differ from fresh enumeration".to_owned());
         }
@@ -788,6 +977,109 @@ impl StateSpace {
         }
         Ok(())
     }
+}
+
+/// Shared spaces: the interner (see the module docs, "One space per key").
+impl StateSpace {
+    /// The space of the key `(schema, pools, max_bits)`, shared: the live
+    /// one if anyone holds it, else a fresh enumeration (at the process's
+    /// thread count) published for the next caller.  Every space served
+    /// from the interner bumps `obs.reused`; a miss is tallied by the
+    /// enumeration itself.
+    ///
+    /// # Errors
+    /// [`PoolError`] when the pools do not fit `schema` or the guard.
+    /// Nothing is enumerated then.
+    ///
+    /// # Panics
+    /// As [`StateSpace::enumerate_with`] when `schema` lacks the null
+    /// model property.
+    pub fn shared(
+        schema: Schema,
+        pools: &Pools,
+        max_bits: usize,
+        obs: &EnumObs,
+    ) -> Result<Arc<StateSpace>, PoolError> {
+        check_pools(&schema, pools, max_bits)?;
+        Ok(intern(schema, pools, max_bits, obs, |schema| {
+            StateSpace::enumerate_observed(schema, pools, &config(max_bits), obs)
+        }))
+    }
+
+    /// Apply `edit` to a shared space by moving `space` to the key the edit
+    /// leads to, and return what [`StateSpace::insert_tuple_traced`] /
+    /// [`StateSpace::remove_tuple_traced`] would: the report and the
+    /// old→new id trace.
+    ///
+    /// On a hit the trace looks each old state up in the live child and
+    /// nothing is patched.  On a miss the incremental patch runs on a
+    /// private copy of the parent —
+    /// none is made when `space` was the only handle — and the result is
+    /// published.  Only `space` moves; other holders of the parent keep it.
+    ///
+    /// # Errors
+    /// As the edit methods; `space` is untouched then.
+    pub fn edit_shared(
+        space: &mut Arc<StateSpace>,
+        edit: PoolEdit<'_>,
+        obs: &EnumObs,
+    ) -> Result<(EditReport, Vec<usize>), EditError> {
+        let pools = space.edited_pools(edit)?;
+        let max_bits = space.inc.as_ref().expect("checked editable").max_bits;
+        if let Some(child) = lookup(&space.schema, &pools, max_bits, obs) {
+            let trace = (0..space.len())
+                .map(|s| child.id_of(space.state(s)).unwrap_or(usize::MAX))
+                .collect();
+            let report = EditReport {
+                states_before: space.len(),
+                states_after: child.len(),
+            };
+            *space = child;
+            return Ok((report, trace));
+        }
+        let patched = Arc::make_mut(space);
+        let edited = match edit {
+            PoolEdit::Insert(rel, t) => patched.insert_tuple_traced(rel, t.clone()),
+            PoolEdit::Remove(rel, t) => patched.remove_tuple_traced(rel, t),
+        }
+        .expect("edit validated above");
+        *space = publish(Arc::clone(space), false);
+        Ok(edited)
+    }
+
+    /// Re-enumerate a shared space from its pools and publish the result
+    /// in place of the entry under its key: the repair when
+    /// cross-validation finds that a patched space diverged.  Never looks
+    /// up, so the diverged space cannot be served back.
+    ///
+    /// # Errors
+    /// [`EditError::NotEditable`] for a space built from explicit states.
+    pub fn rebuild_shared(space: &mut Arc<StateSpace>) -> Result<(), EditError> {
+        let inc = space.inc.as_ref().ok_or(EditError::NotEditable)?;
+        let fresh = space.reenumerate(&inc.pools);
+        *space = publish(Arc::new(fresh), true);
+        Ok(())
+    }
+
+    /// Whether this space was enumerated under exactly this key.
+    fn has_key(&self, schema: &Schema, pools: &Pools, max_bits: usize) -> bool {
+        self.inc
+            .as_ref()
+            .is_some_and(|inc| inc.max_bits == max_bits && inc.pools == *pools)
+            && self.schema == *schema
+    }
+}
+
+/// Look the key up and serve a live space, or `build` one — with the
+/// table unlocked — and publish it.
+fn intern(
+    schema: Schema,
+    pools: &Pools,
+    max_bits: usize,
+    obs: &EnumObs,
+    build: impl FnOnce(Schema) -> StateSpace,
+) -> Arc<StateSpace> {
+    lookup(&schema, pools, max_bits, obs).unwrap_or_else(|| publish(Arc::new(build(schema)), false))
 }
 
 impl std::fmt::Debug for StateSpace {
@@ -1098,18 +1390,219 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
+    /// Unary `R`/`S` pools over symbols tagged `tag`: the interner is
+    /// process-wide, so each test keys its own spaces.
+    fn tagged_pools(tag: &str, n: usize) -> Pools {
+        let pool = |rel: &str| -> Vec<Tuple> {
+            (0..n)
+                .map(|i| Tuple::new([v(&format!("{tag}_{rel}{i}"))]))
+                .collect()
+        };
+        [("R".to_owned(), pool("r")), ("S".to_owned(), pool("s"))].into()
+    }
+
+    fn unary_schema() -> Schema {
+        Schema::unconstrained(Signature::new([
+            RelDecl::new("R", ["A"]),
+            RelDecl::new("S", ["A"]),
+        ]))
+    }
+
+    fn shared(schema: Schema, pools: &Pools, max_bits: usize) -> Arc<StateSpace> {
+        StateSpace::shared(schema, pools, max_bits, &EnumObs::noop()).unwrap()
+    }
+
+    #[test]
+    fn shared_spaces_are_one_allocation_per_key() {
+        let pools = tagged_pools("key", 2);
+        let a = shared(unary_schema(), &pools, 28);
+        let b = shared(unary_schema(), &pools, 28);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.len(), 16);
+
+        // Every part of the key tells spaces apart.
+        let mut constrained = unary_schema();
+        constrained.add_constraint(Constraint::Ind(compview_logic::Ind::new(
+            "S",
+            vec![0],
+            "R",
+            vec![0],
+        )));
+        let mut reordered = pools.clone();
+        reordered.get_mut("R").unwrap().reverse();
+        let mut grown = pools.clone();
+        grown
+            .get_mut("S")
+            .unwrap()
+            .push(Tuple::new([v("key_extra")]));
+        for other in [
+            shared(constrained, &pools, 28),
+            shared(unary_schema(), &reordered, 28),
+            shared(unary_schema(), &grown, 28),
+            shared(unary_schema(), &pools, 27),
+        ] {
+            assert!(!Arc::ptr_eq(&a, &other));
+        }
+    }
+
+    #[test]
+    fn shared_refuses_pools_that_do_not_fit() {
+        let schema = unary_schema();
+        let mut missing = tagged_pools("misfit", 1);
+        missing.remove("S");
+        let mut wide = tagged_pools("misfit", 1);
+        wide.get_mut("R")
+            .unwrap()
+            .push(Tuple::new([v("misfit_a"), v("misfit_b")]));
+        let cases = [
+            (missing, 28, PoolError::MissingPool("S".to_owned())),
+            (
+                wide,
+                28,
+                PoolError::ArityMismatch {
+                    relation: "R".to_owned(),
+                    expected: 1,
+                    got: 2,
+                },
+            ),
+            (
+                tagged_pools("misfit", 3),
+                5,
+                PoolError::TooLarge {
+                    bits: 6,
+                    max_bits: 5,
+                },
+            ),
+        ];
+        for (pools, max_bits, want) in cases {
+            let got = StateSpace::shared(schema.clone(), &pools, max_bits, &EnumObs::noop());
+            assert_eq!(got.err(), Some(want));
+        }
+    }
+
+    #[test]
+    fn interner_holds_weak_handles_and_prunes_dead_entries() {
+        let pools = tagged_pools("weak", 2);
+        let a = shared(unary_schema(), &pools, 28);
+        let weak = Arc::downgrade(&a);
+        drop(a);
+        assert!(
+            weak.upgrade().is_none(),
+            "the interner kept a strong handle"
+        );
+        // The next lookup of the key misses and drops the dead entry.
+        assert!(lookup(&unary_schema(), &pools, 28, &EnumObs::noop()).is_none());
+        assert!(!table().contains_key(&key_hash(&pools, 28)));
+    }
+
+    #[test]
+    fn a_racing_miss_adopts_the_live_entry() {
+        let pools = tagged_pools("race", 2);
+        let first = Arc::new(StateSpace::enumerate(unary_schema(), &pools));
+        let second = Arc::new(StateSpace::enumerate(unary_schema(), &pools));
+        let won = publish(Arc::clone(&first), false);
+        assert!(Arc::ptr_eq(&won, &first));
+        let adopted = publish(second, false);
+        assert!(Arc::ptr_eq(&adopted, &first));
+        // Displacing (the cross-validation repair) replaces the entry.
+        let repaired = publish(
+            Arc::new(StateSpace::enumerate(unary_schema(), &pools)),
+            true,
+        );
+        assert!(!Arc::ptr_eq(&repaired, &first));
+        assert!(Arc::ptr_eq(
+            &lookup(&unary_schema(), &pools, 28, &EnumObs::noop()).unwrap(),
+            &repaired
+        ));
+    }
+
+    #[test]
+    fn the_table_is_unlocked_while_a_miss_builds() {
+        let pools = tagged_pools("unlocked", 2);
+        let built = intern(unary_schema(), &pools, 28, &EnumObs::noop(), |schema| {
+            // Other test threads may hold the lock for a lookup's worth of
+            // time; a lock held across this build would never come free.
+            let free = (0..1000).any(|_| {
+                let ok = table_lock().try_lock().is_ok();
+                if !ok {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                ok
+            });
+            assert!(free, "the interner's lock is held while building");
+            StateSpace::enumerate_with(schema, &pools, &config(28))
+        });
+        assert!(Arc::ptr_eq(&built, &shared(unary_schema(), &pools, 28)));
+    }
+
+    #[test]
+    fn shared_edits_report_what_the_patch_reports() {
+        let pools = tagged_pools("edit", 2);
+        let t = Tuple::new([v("edit_new")]);
+        let (mut a, mut b) = (
+            shared(unary_schema(), &pools, 28),
+            shared(unary_schema(), &pools, 28),
+        );
+        let pin = Arc::clone(&a);
+        let mut patched = StateSpace::clone(&a);
+        let want = patched.insert_tuple_traced("R", t.clone()).unwrap();
+
+        // Miss: `a` moves to a patched copy; `b` and the pin stay put.
+        let got = StateSpace::edit_shared(&mut a, PoolEdit::Insert("R", &t), &EnumObs::noop());
+        assert_eq!(got.unwrap(), want);
+        assert!(Arc::ptr_eq(&b, &pin) && !Arc::ptr_eq(&a, &pin));
+        // Hit: `b` lands on `a`'s space with the trace a patch reports.
+        let got = StateSpace::edit_shared(&mut b, PoolEdit::Insert("R", &t), &EnumObs::noop());
+        assert_eq!(got.unwrap(), want);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.states(), patched.states());
+
+        // Removing it again lands back on the pinned allocation, with the
+        // removal's partial trace.
+        let want = patched.remove_tuple_traced("R", &t).unwrap();
+        let got = StateSpace::edit_shared(&mut a, PoolEdit::Remove("R", &t), &EnumObs::noop());
+        assert_eq!(got.unwrap(), want);
+        assert!(Arc::ptr_eq(&a, &pin));
+        let s0 = Tuple::new([v("edit_s0")]);
+        let mut patched = StateSpace::clone(&b);
+        let want = patched.remove_tuple_traced("S", &s0).unwrap();
+        assert!(want.1.contains(&usize::MAX));
+        let mut c = Arc::clone(&b);
+        StateSpace::edit_shared(&mut b, PoolEdit::Remove("S", &s0), &EnumObs::noop()).unwrap();
+        let got = StateSpace::edit_shared(&mut c, PoolEdit::Remove("S", &s0), &EnumObs::noop());
+        assert_eq!(got.unwrap(), want);
+        assert!(Arc::ptr_eq(&b, &c));
+
+        // A refused edit leaves the handle where it was.
+        let before = Arc::clone(&a);
+        let err = StateSpace::edit_shared(
+            &mut a,
+            PoolEdit::Insert("R", &Tuple::new([v("edit_r0")])),
+            &EnumObs::noop(),
+        );
+        assert_eq!(
+            err.err(),
+            Some(EditError::DuplicateTuple {
+                relation: "R".to_owned()
+            })
+        );
+        assert!(Arc::ptr_eq(&a, &before));
+    }
+
     #[test]
     fn full_edit_paths_agree_with_incremental() {
         let mut inc_sp = two_unary_space();
         let mut full_sp = two_unary_space();
         let t = Tuple::new([v("a3")]);
         let ri = inc_sp.insert_tuple("S", t.clone()).unwrap();
-        let rf = full_sp.insert_tuple_full("S", t.clone()).unwrap();
+        let (rf, next) = full_sp.edit_full(PoolEdit::Insert("S", &t)).unwrap();
+        full_sp = next;
         assert_eq!(ri, rf);
         assert_eq!(inc_sp.states(), full_sp.states());
         assert!(inc_sp.poset() == full_sp.poset());
         let ri = inc_sp.remove_tuple("S", &t).unwrap();
-        let rf = full_sp.remove_tuple_full("S", &t).unwrap();
+        let (rf, next) = full_sp.edit_full(PoolEdit::Remove("S", &t)).unwrap();
+        full_sp = next;
         assert_eq!(ri, rf);
         assert_eq!(inc_sp.states(), full_sp.states());
         inc_sp.validate_against_full().unwrap();

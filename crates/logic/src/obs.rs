@@ -47,6 +47,10 @@ pub struct EnumObs {
     pub runs: Counter,
     /// Legal states produced, across all runs.
     pub states: Counter,
+    /// State spaces served from `compview-core`'s interner instead of
+    /// being enumerated (opens, recoveries, resets and pool edits that
+    /// found their key live).
+    pub reused: Counter,
     /// Wall time of each enumeration shard, nanoseconds.  Shard *count*
     /// varies with the thread count; only the metric's presence and name
     /// are part of the determinism contract.
@@ -66,6 +70,7 @@ impl EnumObs {
         EnumObs {
             runs: registry.counter("enum.runs"),
             states: registry.counter("enum.states"),
+            reused: registry.counter("enum.reused"),
             shard_ns: registry.histogram("enum.shard_ns"),
             run_ns: registry.histogram("enum.run_ns"),
         }

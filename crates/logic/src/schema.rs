@@ -132,8 +132,9 @@ impl BlockEnum<'_> {
 }
 
 /// A relational database schema: signature, constraints, and (optionally)
-/// typing information.
-#[derive(Clone, Debug)]
+/// typing information.  Equality compares all four parts; it is half of
+/// `compview-core`'s state-space interner key.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Schema {
     sig: Signature,
     constraints: Vec<Constraint>,

@@ -962,7 +962,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Replica<F> {
             let obs = obs.clone();
             let leader = leader_addr.to_owned();
             let options = options.clone();
-            std::thread::spawn(move || {
+            crate::server::spawn_named("cv-repl-tail".to_owned(), move || {
                 tail_loop(
                     &server, positions, &leader, &stop, &link, &fault, &obs, &options, mirror,
                     &root,

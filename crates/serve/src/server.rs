@@ -684,14 +684,18 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
 
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            spawn_named("cv-accept".to_owned(), move || {
+                accept_loop(&listener, &shared)
+            })
         };
         let dispatchers = parts
             .into_iter()
             .enumerate()
             .map(|(shard, part)| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || dispatch_loop(shard, part, &shared))
+                spawn_named(format!("cv-shard-{shard}"), move || {
+                    dispatch_loop(shard, part, &shared)
+                })
             })
             .collect();
         Ok(Server {
@@ -903,15 +907,38 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             .insert(conn, Arc::clone(&slot));
         let writer = {
             let shared = Arc::clone(shared);
-            std::thread::spawn(move || write_loop(conn, write_stream, &slot, &shared))
+            spawn_named("cv-conn-write".to_owned(), move || {
+                write_loop(conn, write_stream, &slot, &shared)
+            })
         };
         shared.writers.lock().expect("writers").push(writer);
         let reader = {
             let shared = Arc::clone(shared);
-            std::thread::spawn(move || read_loop(conn, stream, &shared))
+            spawn_named("cv-conn-read".to_owned(), move || {
+                read_loop(conn, stream, &shared)
+            })
         };
         shared.readers.lock().expect("readers").push(reader);
     }
+}
+
+/// Spawn a server thread named by its role, so per-thread tools (`top
+/// -H`, `/proc/self/task/*/comm`) can attribute CPU to acceptor, shard
+/// dispatchers, connection readers and writers, and the follower tail.
+/// Names stay within Linux's 15-byte thread-name limit.
+///
+/// # Panics
+/// Panics, as `std::thread::spawn` does, when the thread cannot be
+/// spawned.
+pub(crate) fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::JoinHandle<T> {
+    debug_assert!(name.len() <= 15, "thread name {name:?} exceeds 15 bytes");
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("failed to spawn thread")
 }
 
 fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {

@@ -394,3 +394,31 @@ fn sharded_shutdown_under_pipelined_load_never_hangs() {
         }
     }
 }
+
+/// Server threads carry their role in their name, whole within Linux's
+/// 15-byte `comm` field, so per-thread CPU can be attributed by role.
+#[cfg(target_os = "linux")]
+#[test]
+fn server_threads_are_named_by_role() {
+    let server = Server::bind_sharded("127.0.0.1:0", demo_service(), 2).unwrap();
+    let roles = ["cv-accept", "cv-shard-0", "cv-shard-1"];
+    let names = || -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_owned())
+            .collect()
+    };
+    // A new thread sets its own name once it runs, so wait for them.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut seen = names();
+    while !roles.iter().all(|r| seen.iter().any(|n| n == r)) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "roles {roles:?} not all in {seen:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+        seen = names();
+    }
+    server.shutdown();
+}

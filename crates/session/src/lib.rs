@@ -4,22 +4,28 @@
 //! the paper's machinery packaged the way a deployment would actually
 //! consume it under sustained traffic.
 //!
-//! Each [`Session`] owns a schema, its tuple pools, an enumerated
-//! [`StateSpace`], a [`Catalog`] of registered component views, and a
-//! typed request interface ([`SessionRequest`]).  Three properties make
-//! it a service rather than a demo:
+//! Each [`Session`] holds a [`Catalog`] of registered component views,
+//! a typed request interface ([`SessionRequest`]), and a shared handle on
+//! the enumerated [`StateSpace`] of its key — schema, tuple pools and
+//! enumeration guard.  The space is a pure function of that key, so every
+//! session of one key holds the same allocation, enumerated once
+//! ([`StateSpace::shared`]); everything that depends on the component
+//! family stays per session.  Three properties make it a service rather
+//! than a demo:
 //!
-//! * **Incremental state-space maintenance** — pool edits
-//!   ([`SessionRequest::InsertPoolTuple`] / `RemovePoolTuple`) patch the
-//!   LDB enumeration and ↓-poset in place through
-//!   [`StateSpace::insert_tuple`] / [`StateSpace::remove_tuple`] instead
-//!   of re-enumerating, with an optional cross-validation mode that
-//!   asserts the patched space is byte-identical to a fresh enumeration.
+//! * **Incremental state-space maintenance** — a pool edit
+//!   ([`SessionRequest::InsertPoolTuple`] / `RemovePoolTuple`) moves the
+//!   session to the space of the edited key ([`StateSpace::edit_shared`]):
+//!   a live one if another session holds it, else the parent patched by
+//!   the incremental splice/filter instead of re-enumerated.  An optional
+//!   cross-validation mode asserts the result is byte-identical to a
+//!   fresh enumeration.
 //! * **Component caching** — the per-view strong endomorphisms (state →
-//!   state maps on the space) are computed once per mask, verified to be
-//!   strong endomorphisms (Thm 2.3.3's characterisation — an arbitrary
-//!   [`ComponentFamily`] implementation is *checked*, not trusted), and
-//!   invalidated precisely when a pool edit changes the space.
+//!   state maps on the space) are computed once per mask and session,
+//!   verified to be strong endomorphisms (Thm 2.3.3's characterisation —
+//!   an arbitrary [`ComponentFamily`] implementation is *checked*, not
+//!   trusted), and carried or invalidated precisely when a pool edit
+//!   changes the space.
 //! * **Exception safety** — every rejected request leaves the session
 //!   state untouched and is tallied per error variant in
 //!   [`SessionStats`]; [`SessionRequest::Stats`] exposes the counters.
@@ -59,12 +65,14 @@ pub use wal::{RecoverError, RecoveryReport, RecoveryStop, SyncPolicy};
 use compview_obs::{DistSpan, Registry, TraceCtx};
 
 use compview_core::{
-    Catalog, CatalogError, ComponentFamily, EditError, EditReport, StateSpace, UpdateReport,
+    Catalog, CatalogError, ComponentFamily, EditError, EditReport, PoolEdit, StateSpace,
+    UpdateReport,
 };
 use compview_lattice::endo;
-use compview_logic::{EnumerationConfig, Schema};
+use compview_logic::{EnumObs, Schema};
 use compview_relation::{Instance, Tuple};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// When a durable session checkpoints its write-ahead log on its own.
 ///
@@ -629,8 +637,8 @@ pub enum CatchupPlan {
     },
 }
 
-/// One client's view-update session: schema + pools + enumerated space +
-/// registered component views + counters.
+/// One client's view-update session: a shared handle on the enumerated
+/// space of its schema and pools + registered component views + counters.
 ///
 /// # Examples
 ///
@@ -664,7 +672,9 @@ pub enum CatchupPlan {
 /// ```
 pub struct Session<F: ComponentFamily + Sync> {
     catalog: Catalog<F>,
-    space: StateSpace,
+    /// The shared space of this session's key (see `compview-core`'s
+    /// interner): immutable, and held by every session of the same key.
+    space: Arc<StateSpace>,
     base_id: usize,
     /// mask → (state → state) strong-endomorphism map on the space.
     cache: BTreeMap<u32, Vec<usize>>,
@@ -698,8 +708,8 @@ pub struct Session<F: ComponentFamily + Sync> {
 }
 
 impl<F: ComponentFamily + Sync> Session<F> {
-    /// Open a session: enumerate the space from `pools` and seat `base`
-    /// in it.
+    /// Open a session: look up (or, on a miss, enumerate) the shared space
+    /// of `schema` and `pools`, and seat `base` in it.
     ///
     /// # Errors
     /// [`SessionError::StateOutsideSpace`] when `base` is not a legal
@@ -707,8 +717,9 @@ impl<F: ComponentFamily + Sync> Session<F> {
     ///
     /// # Panics
     /// Panics (from [`Catalog::new`]) if `base` does not decompose
-    /// losslessly along the family, or (from the enumerator) if the pools
-    /// exceed `config.max_bits`.
+    /// losslessly along the family, or if the pools do not fit the schema
+    /// (a missing pool, a tuple of the wrong arity, or more pool bits
+    /// than `config.max_bits`).
     pub fn open(
         family: F,
         schema: Schema,
@@ -737,11 +748,8 @@ impl<F: ComponentFamily + Sync> Session<F> {
         registry: &Registry,
     ) -> Result<Session<F>, SessionError> {
         let obs = SessionObs::new(registry);
-        let ecfg = EnumerationConfig {
-            max_bits: config.max_bits,
-            threads: compview_parallel::num_threads(),
-        };
-        let space = StateSpace::enumerate_observed(schema, pools, &ecfg, &obs.enum_obs);
+        let space = StateSpace::shared(schema, pools, config.max_bits, &obs.enum_obs)
+            .unwrap_or_else(|e| panic!("{e}"));
         let base_id = space.id_of(&base).ok_or(SessionError::StateOutsideSpace {
             view: "<base>".to_owned(),
         })?;
@@ -841,9 +849,10 @@ impl<F: ComponentFamily + Sync> Session<F> {
 
     /// Rebuild a session from its write-ahead log.
     ///
-    /// Parses the log, restores the record-0 snapshot (re-enumerating the
-    /// state space from the snapshotted pools, so the poset and index are
-    /// exactly what any thread count derives), then **replays** every
+    /// Parses the log, restores the record-0 snapshot (looking up the
+    /// shared space of the snapshotted pools, and enumerating it only on a
+    /// miss, so the poset and index are exactly what any thread count
+    /// derives), then **replays** every
     /// following request through the ordinary [`Session::serve`] path —
     /// rejections replay to the same rejections, so the counters match
     /// too.  Reading stops at the first torn or corrupt record; the log
@@ -897,13 +906,8 @@ impl<F: ComponentFamily + Sync> Session<F> {
         // Re-frame record 0 (framing is deterministic) to recover the
         // log's replication generation id.
         let wal_gen = wal::gen_of_record0_frame(&wal::frame_record(0, &first.payload));
-        let mut dec = compview_relation::binio::Dec::new(&snap.space);
-        let space =
-            StateSpace::decode_snapshot_observed(schema, &mut dec, &obs.enum_obs).map_err(|e| {
-                RecoverError::BadSnapshot {
-                    detail: format!("state space: {e}"),
-                }
-            })?;
+        let space = snapshot_space(schema, &snap.space, &obs.enum_obs)
+            .map_err(|detail| RecoverError::BadSnapshot { detail })?;
         let base_id = space
             .id_of(&snap.base)
             .ok_or(RecoverError::BaseOutsideSpace)?;
@@ -1230,10 +1234,18 @@ impl<F: ComponentFamily + Sync> Session<F> {
             SessionRequest::Read { view } => self.read(&view),
             SessionRequest::Update { view, new_state } => self.update(&view, &new_state),
             SessionRequest::InsertPoolTuple { relation, tuple } => {
-                self.insert_pool_tuple(&relation, tuple)
+                self.edit_pool(PoolEdit::Insert(&relation, &tuple))
             }
             SessionRequest::RemovePoolTuple { relation, tuple } => {
-                self.remove_pool_tuple(&relation, &tuple)
+                // Reject edits that would delete the ground under the base
+                // state *before* touching the space.
+                let pools = self.space.pools().ok_or(EditError::NotEditable)?;
+                if pools.contains_key(&relation)
+                    && self.catalog.state().rel(&relation).contains(&tuple)
+                {
+                    return Err(SessionError::TupleInBaseState { relation });
+                }
+                self.edit_pool(PoolEdit::Remove(&relation, &tuple))
             }
             SessionRequest::Undo => self.undo(),
             SessionRequest::Stats => Ok(SessionResponse::Stats(self.snapshot())),
@@ -1300,37 +1312,39 @@ impl<F: ComponentFamily + Sync> Session<F> {
         }
     }
 
-    fn insert_pool_tuple(
-        &mut self,
-        relation: &str,
-        tuple: Tuple,
-    ) -> Result<SessionResponse, SessionError> {
-        let mut edit_trace = None;
-        let report = if self.config.incremental {
-            let (r, trace) = self.space.insert_tuple_traced(relation, tuple)?;
+    /// Move the session's space across one pool edit.  Incremental edits
+    /// go through the interner ([`StateSpace::edit_shared`]): a hit and a
+    /// miss report the same edit and the same id trace, so the cached endo
+    /// maps and subscription images are carried across identically.  The
+    /// full path re-enumerates into a private space and drops the cache.
+    fn edit_pool(&mut self, edit: PoolEdit<'_>) -> Result<SessionResponse, SessionError> {
+        let (report, trace) = if self.config.incremental {
+            let (r, trace) = StateSpace::edit_shared(&mut self.space, edit, &self.obs.enum_obs)?;
             self.stats.incremental_edits += 1;
+            // Surviving states keep their instances under new ids, so
+            // cached endo maps are *remapped* through the trace instead of
+            // recomputed.  A cross-validation repair re-enumerated from
+            // scratch, invalidating the trace.
             let repaired = self.after_incremental_edit();
-            // Inserts only add states; surviving states keep their
-            // instances under new ids, so cached endo maps can be
-            // *remapped* through the splice trace instead of recomputed.
-            // A cross-validation repair re-enumerated from scratch,
-            // invalidating the trace.
-            if repaired {
-                self.cache.clear();
-            } else {
-                self.remap_cache(&trace);
-                edit_trace = Some(trace);
-            }
-            r
+            (r, (!repaired).then_some(trace))
         } else {
-            let r = self.space.insert_tuple_full(relation, tuple)?;
+            let (r, next) = self.space.edit_full(edit)?;
+            self.space = Arc::new(next);
             self.stats.full_rebuilds += 1;
-            self.cache.clear();
-            r
+            (r, None)
         };
-        // Inserts only add states, so undo targets stay legal.
+        match &trace {
+            Some(t) => self.remap_cache(t),
+            None => self.cache.clear(),
+        }
+        if let PoolEdit::Remove(..) = edit {
+            // Removal can delete states the undo history points at; drop
+            // it (the audit log survives).  Inserts only add states, so
+            // undo targets stay legal.
+            self.catalog.clear_history();
+        }
         self.reseat_base();
-        self.publish_after_pool_edit(edit_trace.as_deref());
+        self.publish_after_pool_edit(trace.as_deref());
         Ok(SessionResponse::PoolEdited(report))
     }
 
@@ -1380,58 +1394,15 @@ impl<F: ComponentFamily + Sync> Session<F> {
         }
     }
 
-    fn remove_pool_tuple(
-        &mut self,
-        relation: &str,
-        tuple: &Tuple,
-    ) -> Result<SessionResponse, SessionError> {
-        // Reject edits that would delete the ground under the base state
-        // *before* touching the space.
-        let pools = self.space.pools().ok_or(EditError::NotEditable)?;
-        if pools.contains_key(relation) && self.catalog.state().rel(relation).contains(tuple) {
-            return Err(SessionError::TupleInBaseState {
-                relation: relation.to_owned(),
-            });
-        }
-        let mut edit_trace = None;
-        let report = if self.config.incremental {
-            let (r, trace) = self.space.remove_tuple_traced(relation, tuple)?;
-            self.stats.incremental_edits += 1;
-            let repaired = self.after_incremental_edit();
-            // Removals only drop states; surviving states keep their
-            // instances under new ids, so cached endo maps remap through
-            // the (partial) trace — only survivors whose old image was
-            // dropped need recomputing.  A cross-validation repair
-            // re-enumerated from scratch, invalidating the trace.
-            if repaired {
-                self.cache.clear();
-            } else {
-                self.remap_cache(&trace);
-                edit_trace = Some(trace);
-            }
-            r
-        } else {
-            let r = self.space.remove_tuple_full(relation, tuple)?;
-            self.stats.full_rebuilds += 1;
-            self.cache.clear();
-            r
-        };
-        // Removal can delete states the undo history points at; drop it
-        // (the audit log survives).
-        self.catalog.clear_history();
-        self.reseat_base();
-        self.publish_after_pool_edit(edit_trace.as_deref());
-        Ok(SessionResponse::PoolEdited(report))
-    }
-
-    /// Cross-validate a just-patched space when configured; repair by
-    /// rebuilding on mismatch.  Returns whether a repair re-enumerated
-    /// the space (invalidating any splice trace).
+    /// Cross-validate the space an incremental edit moved to (patched
+    /// here or found in the interner) when configured; repair by
+    /// rebuilding on mismatch.  Returns whether a repair re-enumerated the
+    /// space (invalidating any splice trace).
     fn after_incremental_edit(&mut self) -> bool {
         if self.config.cross_validate {
             if let Err(e) = self.space.validate_against_full() {
                 debug_assert!(false, "incremental edit diverged: {e}");
-                self.space.rebuild().expect("space is editable");
+                StateSpace::rebuild_shared(&mut self.space).expect("space is editable");
                 self.stats.full_rebuilds += 1;
                 return true;
             }
@@ -1777,7 +1748,8 @@ impl<F: ComponentFamily + Sync> Session<F> {
         self.base_id
     }
 
-    /// The enumerated state space.
+    /// The enumerated state space, shared with every session of the same
+    /// schema, pools and guard.
     pub fn space(&self) -> &StateSpace {
         &self.space
     }
@@ -2045,11 +2017,8 @@ impl<F: ComponentFamily + Sync> Session<F> {
             detail: e.to_string(),
         })?;
         let schema = self.space.schema().clone();
-        let mut dec = compview_relation::binio::Dec::new(&snap.space);
-        let space = StateSpace::decode_snapshot_observed(schema, &mut dec, &self.obs.enum_obs)
-            .map_err(|e| ApplyError::BadSnapshot {
-                detail: format!("state space: {e}"),
-            })?;
+        let space = snapshot_space(schema, &snap.space, &self.obs.enum_obs)
+            .map_err(|detail| ApplyError::BadSnapshot { detail })?;
         let base_id = space
             .id_of(&snap.base)
             .ok_or_else(|| ApplyError::BadSnapshot {
@@ -2142,4 +2111,14 @@ impl<F: ComponentFamily + Sync> Session<F> {
         }
         Ok(0)
     }
+}
+
+/// The shared space a snapshot's recorded geometry names under `schema`,
+/// or the `BadSnapshot` detail when the bytes do not decode or the pools
+/// do not fit the schema.
+fn snapshot_space(schema: Schema, bytes: &[u8], obs: &EnumObs) -> Result<Arc<StateSpace>, String> {
+    let mut dec = compview_relation::binio::Dec::new(bytes);
+    let (pools, max_bits) =
+        StateSpace::decode_geometry(&mut dec).map_err(|e| format!("state space: {e}"))?;
+    StateSpace::shared(schema, &pools, max_bits, obs).map_err(|e| format!("state space: {e}"))
 }

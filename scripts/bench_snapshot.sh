@@ -8,11 +8,20 @@
 # fan-out visibility + chained leader egress, distributed-tracing
 # overhead per sampling rate) and
 # collect the vendored harness's machine-readable result lines
-# ("compview-bench: {...}") into BENCH_PR10.json.
+# ("compview-bench: {...}") into the file named by the one argument.
+#
+# Usage: scripts/bench_snapshot.sh OUT.json
+# The output name is required, so a run never overwrites a committed
+# snapshot by default.  A relative name is taken from the repository
+# root.
 set -euo pipefail
-cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR10.json}"
+if [ "$#" -ne 1 ] || [ -z "$1" ]; then
+    echo "usage: $0 OUT.json" >&2
+    exit 2
+fi
+OUT="$1"
+cd "$(dirname "$0")/.."
 TARGETS=(chase partition_lattice translate_scaling incremental session wal serve sharded obs subs repl fanout trace)
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
