@@ -44,19 +44,6 @@ pub trait ComponentFamily {
     /// The endomorphism `γ_S⊖`: the component-`S` part of a legal state.
     fn endo(&self, mask: u32, base: &Instance) -> Instance;
 
-    /// Whether every endomorphism of this family is a **per-tuple
-    /// filter**: `endo(mask, ·)` keeps or drops each tuple looking only
-    /// at its relation symbol and its own values, never at the rest of
-    /// the state.  Filters distribute over relation-wise set difference
-    /// and union, so a *delta* of the base maps to the delta of the view
-    /// part: `endo(m, B') \ endo(m, B) = endo(m, B' \ B)`.  Change-stream
-    /// publishers use this to derive view deltas directly from base
-    /// deltas instead of diffing view images; families whose endo joins
-    /// or projects across tuples must leave this `false` (the default).
-    fn endo_is_row_local(&self) -> bool {
-        false
-    }
-
     /// Reconstruct a state from the parts of complementary components
     /// (the inverse of the decomposition isomorphism of Lemma 2.3.2(b)).
     fn reconstruct(&self, a: &Instance, b: &Instance) -> Instance;
@@ -168,10 +155,6 @@ impl<F1: ComponentFamily, F2: ComponentFamily> ComponentFamily for PairFamily<F1
         let lb = self.project(&self.left.relations(), base);
         let rb = self.project(&self.right.relations(), base);
         merge_disjoint(&self.left.endo(l, &lb), &self.right.endo(r, &rb))
-    }
-
-    fn endo_is_row_local(&self) -> bool {
-        self.left.endo_is_row_local() && self.right.endo_is_row_local()
     }
 
     fn reconstruct(&self, a: &Instance, b: &Instance) -> Instance {

@@ -122,11 +122,6 @@ impl ComponentFamily for HorizontalComponents {
         Instance::new().with(self.rel.clone(), self.endo_rel(mask, base.rel(&self.rel)))
     }
 
-    fn endo_is_row_local(&self) -> bool {
-        // `endo_rel` is a `select` on each tuple's own class.
-        true
-    }
-
     fn reconstruct(&self, a: &Instance, b: &Instance) -> Instance {
         // Horizontal classes do not interact: reconstruction is plain
         // union (the closure is the identity).

@@ -57,11 +57,12 @@
 //!   enumeration or a patch.  Two racing misses on one key both build it;
 //!   the second to publish adopts the first one's allocation.
 //! - A pool edit is a move between keys ([`StateSpace::edit_shared`]).
-//!   On a hit the old→new id trace looks each old state up in the live
-//!   child; on a miss the incremental patch runs on a private copy of the
-//!   parent (no copy when the caller held the only handle), which is then
+//!   On a hit the caller takes the live child and no state is visited; on
+//!   a miss the incremental patch runs on a private copy of the parent
+//!   (no copy when the caller held the only handle), which is then
 //!   published.  Either way the caller sees the same report and the same
-//!   trace.
+//!   space.  No state id is carried across an edit: a caller holding one
+//!   looks its state up again in the new space.
 //! - The reference paths never look up: [`StateSpace::enumerate`] and
 //!   friends, [`StateSpace::edit_full`] and
 //!   [`StateSpace::validate_against_full`] build their own spaces.
@@ -571,19 +572,6 @@ impl StateSpace {
     ///
     /// On error the space is untouched.
     pub fn insert_tuple(&mut self, rel: &str, t: Tuple) -> Result<EditReport, EditError> {
-        self.insert_tuple_traced(rel, t).map(|(r, _)| r)
-    }
-
-    /// [`StateSpace::insert_tuple`], additionally returning the splice's
-    /// *origin trace*: `trace[old_id] = new_id` for every pre-edit state
-    /// (inserts never delete states, so the trace is total).  Callers that
-    /// cache per-state data keyed by id — e.g. `compview-session`'s
-    /// endomorphism maps — can remap through it instead of recomputing.
-    pub fn insert_tuple_traced(
-        &mut self,
-        rel: &str,
-        t: Tuple,
-    ) -> Result<(EditReport, Vec<usize>), EditError> {
         let k = self.check_insert(rel, &t)?;
         let n_old = self.states.len();
         let inc = self.inc.take().expect("checked editable");
@@ -597,13 +585,10 @@ impl StateSpace {
             let mut inc = inc;
             inc.pools.get_mut(rel).expect("checked relation").push(t);
             self.inc = Some(inc);
-            return Ok((
-                EditReport {
-                    states_before: n_old,
-                    states_after: n_old,
-                },
-                (0..n_old).collect(),
-            ));
+            return Ok(EditReport {
+                states_before: n_old,
+                states_after: n_old,
+            });
         }
 
         let decls = self.schema.sig().decls();
@@ -729,13 +714,10 @@ impl StateSpace {
         self.index = index;
         self.poset = poset;
         self.inc = Some(inc);
-        Ok((
-            EditReport {
-                states_before: n_old,
-                states_after: n_new,
-            },
-            pos_of_old,
-        ))
+        Ok(EditReport {
+            states_before: n_old,
+            states_after: n_new,
+        })
     }
 
     /// Remove `t` from relation `rel`'s pool and patch the space in place:
@@ -748,21 +730,6 @@ impl StateSpace {
     /// catalog layered on this space may leave the space — callers who care
     /// (e.g. `compview-session`) must reject that case themselves.
     pub fn remove_tuple(&mut self, rel: &str, t: &Tuple) -> Result<EditReport, EditError> {
-        self.remove_tuple_traced(rel, t).map(|(r, _)| r)
-    }
-
-    /// [`StateSpace::remove_tuple`], additionally returning the filter's
-    /// *origin trace*: `trace[old_id] = new_id` for every surviving
-    /// pre-edit state and `usize::MAX` for states the removal dropped
-    /// (removals delete states, so the trace is partial — the sentinel
-    /// marks the holes).  Callers that cache per-state data keyed by id
-    /// — e.g. `compview-session`'s endomorphism maps — can remap the
-    /// surviving entries through it instead of recomputing everything.
-    pub fn remove_tuple_traced(
-        &mut self,
-        rel: &str,
-        t: &Tuple,
-    ) -> Result<(EditReport, Vec<usize>), EditError> {
         let (k, p) = self.check_remove(rel, t)?;
         let n_old = self.states.len();
         let inc = self.inc.take().expect("checked editable");
@@ -831,13 +798,10 @@ impl StateSpace {
         self.index = index;
         self.poset = poset;
         self.inc = Some(inc);
-        Ok((
-            EditReport {
-                states_before: n_old,
-                states_after: n_new,
-            },
-            pos_of_old,
-        ))
+        Ok(EditReport {
+            states_before: n_old,
+            states_after: n_new,
+        })
     }
 
     /// `edit` by full re-enumeration into a new space, leaving this one
@@ -1007,14 +971,12 @@ impl StateSpace {
     }
 
     /// Apply `edit` to a shared space by moving `space` to the key the edit
-    /// leads to, and return what [`StateSpace::insert_tuple_traced`] /
-    /// [`StateSpace::remove_tuple_traced`] would: the report and the
-    /// old→new id trace.
+    /// leads to, and return the report [`StateSpace::insert_tuple`] /
+    /// [`StateSpace::remove_tuple`] would.
     ///
-    /// On a hit the trace looks each old state up in the live child and
-    /// nothing is patched.  On a miss the incremental patch runs on a
-    /// private copy of the parent —
-    /// none is made when `space` was the only handle — and the result is
+    /// On a hit nothing is patched and no state is visited.  On a miss the
+    /// incremental patch runs on a private copy of the parent — none is
+    /// made when `space` was the only handle — and the result is
     /// published.  Only `space` moves; other holders of the parent keep it.
     ///
     /// # Errors
@@ -1023,28 +985,25 @@ impl StateSpace {
         space: &mut Arc<StateSpace>,
         edit: PoolEdit<'_>,
         obs: &EnumObs,
-    ) -> Result<(EditReport, Vec<usize>), EditError> {
+    ) -> Result<EditReport, EditError> {
         let pools = space.edited_pools(edit)?;
         let max_bits = space.inc.as_ref().expect("checked editable").max_bits;
         if let Some(child) = lookup(&space.schema, &pools, max_bits, obs) {
-            let trace = (0..space.len())
-                .map(|s| child.id_of(space.state(s)).unwrap_or(usize::MAX))
-                .collect();
             let report = EditReport {
                 states_before: space.len(),
                 states_after: child.len(),
             };
             *space = child;
-            return Ok((report, trace));
+            return Ok(report);
         }
         let patched = Arc::make_mut(space);
-        let edited = match edit {
-            PoolEdit::Insert(rel, t) => patched.insert_tuple_traced(rel, t.clone()),
-            PoolEdit::Remove(rel, t) => patched.remove_tuple_traced(rel, t),
+        let report = match edit {
+            PoolEdit::Insert(rel, t) => patched.insert_tuple(rel, t.clone()),
+            PoolEdit::Remove(rel, t) => patched.remove_tuple(rel, t),
         }
         .expect("edit validated above");
         *space = publish(Arc::clone(space), false);
-        Ok(edited)
+        Ok(report)
     }
 
     /// Re-enumerate a shared space from its pools and publish the result
@@ -1344,52 +1303,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn insert_trace_maps_old_ids_to_new_ids() {
-        let mut sp = two_unary_space();
-        let old_states = sp.states().to_vec();
-        let (report, trace) = sp.insert_tuple_traced("R", Tuple::new([v("a3")])).unwrap();
-        assert_eq!(trace.len(), report.states_before);
-        for (old, &new) in trace.iter().enumerate() {
-            assert_eq!(sp.state(new), &old_states[old], "trace[{old}] = {new}");
-        }
-        // A no-op splice (no legal block uses the tuple) yields the
-        // identity trace.  FD K→V with a clashing pool mate: a lone second
-        // value for a key still forms blocks, so craft a schema where the
-        // new tuple is blocked by a global constraint instead — simplest
-        // honest case: the trace after a plain insert is a permutation.
-        let mut seen = vec![false; sp.len()];
-        for &new in &trace {
-            assert!(!seen[new], "trace must be injective");
-            seen[new] = true;
-        }
-    }
-
-    #[test]
-    fn remove_trace_maps_survivors_and_marks_dropped() {
-        let mut sp = two_unary_space();
-        let old_states = sp.states().to_vec();
-        let (report, trace) = sp.remove_tuple_traced("R", &Tuple::new([v("a2")])).unwrap();
-        assert_eq!(trace.len(), report.states_before);
-        assert!(report.states_after < report.states_before);
-        let mut survivors = 0;
-        for (old, &new) in trace.iter().enumerate() {
-            if new == usize::MAX {
-                continue; // dropped by the removal
-            }
-            survivors += 1;
-            assert_eq!(sp.state(new), &old_states[old], "trace[{old}] = {new}");
-        }
-        assert_eq!(survivors, report.states_after);
-        // Every post-removal state is the image of exactly one survivor.
-        let mut seen = vec![false; sp.len()];
-        for &new in trace.iter().filter(|&&n| n != usize::MAX) {
-            assert!(!seen[new], "trace must be injective on survivors");
-            seen[new] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
     /// Unary `R`/`S` pools over symbols tagged `tag`: the interner is
     /// process-wide, so each test keys its own spaces.
     fn tagged_pools(tag: &str, n: usize) -> Pools {
@@ -1545,30 +1458,39 @@ mod tests {
         );
         let pin = Arc::clone(&a);
         let mut patched = StateSpace::clone(&a);
-        let want = patched.insert_tuple_traced("R", t.clone()).unwrap();
+        let want = patched.insert_tuple("R", t.clone()).unwrap();
+        let same_space = |got: &StateSpace, want: &StateSpace| {
+            assert_eq!(got.states(), want.states());
+            assert!(got.poset() == want.poset());
+            assert_eq!(got.pools(), want.pools());
+        };
 
         // Miss: `a` moves to a patched copy; `b` and the pin stay put.
         let got = StateSpace::edit_shared(&mut a, PoolEdit::Insert("R", &t), &EnumObs::noop());
         assert_eq!(got.unwrap(), want);
         assert!(Arc::ptr_eq(&b, &pin) && !Arc::ptr_eq(&a, &pin));
-        // Hit: `b` lands on `a`'s space with the trace a patch reports.
+        same_space(&a, &patched);
+        // Hit: `b` lands on `a`'s space with the report a patch gives.
         let got = StateSpace::edit_shared(&mut b, PoolEdit::Insert("R", &t), &EnumObs::noop());
         assert_eq!(got.unwrap(), want);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.states(), patched.states());
 
-        // Removing it again lands back on the pinned allocation, with the
-        // removal's partial trace.
-        let want = patched.remove_tuple_traced("R", &t).unwrap();
+        // Removing it again lands back on the pinned allocation.
+        let want = patched.remove_tuple("R", &t).unwrap();
         let got = StateSpace::edit_shared(&mut a, PoolEdit::Remove("R", &t), &EnumObs::noop());
         assert_eq!(got.unwrap(), want);
         assert!(Arc::ptr_eq(&a, &pin));
+        same_space(&a, &patched);
+        // A removal that drops states: the miss and the hit report and
+        // land on what the patch gives.
         let s0 = Tuple::new([v("edit_s0")]);
         let mut patched = StateSpace::clone(&b);
-        let want = patched.remove_tuple_traced("S", &s0).unwrap();
-        assert!(want.1.contains(&usize::MAX));
+        let want = patched.remove_tuple("S", &s0).unwrap();
+        assert!(want.states_after < want.states_before);
         let mut c = Arc::clone(&b);
-        StateSpace::edit_shared(&mut b, PoolEdit::Remove("S", &s0), &EnumObs::noop()).unwrap();
+        let got = StateSpace::edit_shared(&mut b, PoolEdit::Remove("S", &s0), &EnumObs::noop());
+        assert_eq!(got.unwrap(), want);
+        same_space(&b, &patched);
         let got = StateSpace::edit_shared(&mut c, PoolEdit::Remove("S", &s0), &EnumObs::noop());
         assert_eq!(got.unwrap(), want);
         assert!(Arc::ptr_eq(&b, &c));

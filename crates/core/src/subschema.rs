@@ -84,11 +84,6 @@ impl ComponentFamily for SubschemaComponents {
         out
     }
 
-    fn endo_is_row_local(&self) -> bool {
-        // Copy-or-empty per relation symbol: a filter on the symbol alone.
-        true
-    }
-
     fn reconstruct(&self, a: &Instance, b: &Instance) -> Instance {
         a.union(b)
     }

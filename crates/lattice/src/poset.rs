@@ -178,7 +178,20 @@ impl FinPoset {
 
     /// The principal upset `{y : x ≤ y}`.
     pub fn upset(&self, x: usize) -> Vec<usize> {
-        iter_bits(self.up_row(x)).collect()
+        self.above(x).collect()
+    }
+
+    /// The principal upset of `x`, ascending, read straight off its packed
+    /// row: a walk over the pairs `x ≤ y` alone, with no allocation.
+    pub fn above(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        iter_bits(self.up_row(x))
+    }
+
+    /// Whether the principal downset of `x` lies inside `set`, a packed
+    /// bitrow over the elements (bit `y % 64` of word `y / 64`, at least
+    /// `n.div_ceil(64)` words): one word-wise subset test.
+    pub fn downset_within(&self, x: usize, set: &[u64]) -> bool {
+        subset(self.down_row(x), set)
     }
 
     /// Minimal elements of a subset.

@@ -20,12 +20,15 @@
 //!   the incremental splice/filter instead of re-enumerated.  An optional
 //!   cross-validation mode asserts the result is byte-identical to a
 //!   fresh enumeration.
-//! * **Component caching** — the per-view strong endomorphisms (state →
-//!   state maps on the space) are computed once per mask and session,
-//!   verified to be strong endomorphisms (Thm 2.3.3's characterisation —
-//!   an arbitrary [`ComponentFamily`] implementation is *checked*, not
-//!   trusted), and carried or invalidated precisely when a pool edit
-//!   changes the space.
+//! * **Checked components, structural answers** — a view is served only
+//!   while its mask and its complement are verified strong endomorphisms
+//!   of the space (Thm 2.3.3's characterisation: an arbitrary
+//!   [`ComponentFamily`] implementation is *checked*, not trusted).  Each
+//!   mask is checked once per space, on first use, by building its state
+//!   map, checking it and dropping it; a pool edit re-checks the verified
+//!   masks on the new space.  Reads and subscription images are the
+//!   family's endomorphism applied to the base (Thm 3.1.1), so the
+//!   session keeps nothing indexed by state id.
 //! * **Exception safety** — every rejected request leaves the session
 //!   state untouched and is tallied per error variant in
 //!   [`SessionStats`]; [`SessionRequest::Stats`] exposes the counters.
@@ -71,7 +74,7 @@ use compview_core::{
 use compview_lattice::endo;
 use compview_logic::{EnumObs, Schema};
 use compview_relation::{Instance, Tuple};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// When a durable session checkpoints its write-ahead log on its own.
@@ -144,12 +147,15 @@ pub struct SessionStats {
     pub accepted: u64,
     /// Requests that returned an error.
     pub rejected: u64,
-    /// Component-endomorphism cache hits.
+    /// Uses of a view (register, read, update, subscribe, publish) whose
+    /// mask and complement were both already verified on the current
+    /// space: one per use.
     pub cache_hits: u64,
-    /// Component-endomorphism cache misses (maps computed).
+    /// Masks checked to be strong endomorphisms of the space on first
+    /// use (map built, checked, dropped): one per mask checked.
     pub cache_misses: u64,
-    /// Cached endomorphism maps carried across a pool insert by
-    /// id-remapping (one per surviving mask) instead of recomputation.
+    /// Verified masks re-checked and kept across an incremental pool
+    /// edit: one per mask that still checks on the edited space.
     pub cache_remaps: u64,
     /// Pool edits serviced by the incremental patch path.
     pub incremental_edits: u64,
@@ -171,8 +177,8 @@ pub struct SessionStats {
 /// fields describe *this node's* service history and legitimately
 /// diverge between replicas: `counters` (a follower tallies its own
 /// local reads, and replicated writes arrive pre-validated so its
-/// rejection counters stay at zero), `cached_masks` (cache population
-/// depends on which views were read here), and `active_subs`
+/// rejection counters stay at zero), `cached_masks` (which masks are
+/// verified depends on which views were used here), and `active_subs`
 /// (subscriptions are connection-scoped).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StatsSnapshot {
@@ -185,8 +191,8 @@ pub struct StatsSnapshot {
     pub views: usize,
     /// Updates currently undoable.
     pub undoable: usize,
-    /// Masks with cached endomorphism maps.  Runtime: population depends
-    /// on which views this node was asked to read.
+    /// Masks verified as strong endomorphisms of the current space.
+    /// Runtime: depends on which views this node was asked to use.
     pub cached_masks: usize,
     /// Content-derived durable identity: the CRC-32 of the session's
     /// initial snapshot record, fixed at [`Session::open_durable`] time
@@ -370,11 +376,11 @@ pub enum SessionError {
     Catalog(CatalogError),
     /// Pool-edit rejection from the state space.
     Edit(EditError),
-    /// The mask's endomorphism is not a component of the current space:
-    /// an image escapes the space, or the map is not a strong
-    /// endomorphism of the ↓-poset.
+    /// The view is not a component of the current space: the
+    /// endomorphism of its mask or of its complement maps a state outside
+    /// the space, or is not a strong endomorphism of the ↓-poset.
     NotAComponent {
-        /// The offending mask.
+        /// The offending mask: the view's own, or its complement.
         mask: u32,
         /// What failed.
         detail: String,
@@ -676,8 +682,9 @@ pub struct Session<F: ComponentFamily + Sync> {
     /// interner): immutable, and held by every session of the same key.
     space: Arc<StateSpace>,
     base_id: usize,
-    /// mask → (state → state) strong-endomorphism map on the space.
-    cache: BTreeMap<u32, Vec<usize>>,
+    /// Masks checked to be strong endomorphisms of `space`.  A view is
+    /// served only while its mask and its complement are both here.
+    verified: BTreeSet<u32>,
     config: SessionConfig,
     stats: SessionStats,
     /// The write-ahead log, when this session is durable.
@@ -757,7 +764,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
             catalog: Catalog::new(family, base),
             space,
             base_id,
-            cache: BTreeMap::new(),
+            verified: BTreeSet::new(),
             config,
             stats: SessionStats::default(),
             wal: None,
@@ -917,7 +924,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
             catalog,
             space,
             base_id,
-            cache: BTreeMap::new(),
+            verified: BTreeSet::new(),
             config: snap.config,
             stats: snap.stats,
             wal: None,
@@ -1264,9 +1271,8 @@ impl<F: ComponentFamily + Sync> Session<F> {
         }
         // Verify componentness *before* registering: both the view's endo
         // and its complement's must be strong endomorphisms of the space.
+        self.verify_view(mask)?;
         let complement = self.catalog.family().complement(mask);
-        self.ensure_cached(mask)?;
-        self.ensure_cached(complement)?;
         self.catalog.register(&name, mask).expect("validated above");
         Ok(SessionResponse::Registered {
             view: name,
@@ -1277,14 +1283,14 @@ impl<F: ComponentFamily + Sync> Session<F> {
 
     fn read(&mut self, view: &str) -> Result<SessionResponse, SessionError> {
         let mask = self.catalog.mask_of(view)?;
-        self.ensure_cached(mask)?;
-        let part = self.space.state(self.cache[&mask][self.base_id]).clone();
-        debug_assert_eq!(
-            part,
-            self.catalog.read(view).expect("view exists"),
-            "cached endo disagrees with the family"
-        );
-        Ok(SessionResponse::State(part))
+        self.verify_view(mask)?;
+        Ok(SessionResponse::State(self.image(mask)))
+    }
+
+    /// The view part of the base state: the family's endomorphism applied
+    /// to it (Thm 3.1.1), which is what [`Catalog::read`] answers.
+    fn image(&self, mask: u32) -> Instance {
+        self.catalog.family().endo(mask, self.catalog.state())
     }
 
     fn update(
@@ -1292,12 +1298,15 @@ impl<F: ComponentFamily + Sync> Session<F> {
         view: &str,
         new_state: &Instance,
     ) -> Result<SessionResponse, SessionError> {
+        self.verify_view(self.catalog.mask_of(view)?)?;
         let old_base = self.base_id;
         let report = self.catalog.update(view, new_state)?;
         match self.space.id_of(self.catalog.state()) {
             Some(id) => {
                 self.base_id = id;
-                self.publish_base_moved(old_base);
+                if id != old_base {
+                    self.publish();
+                }
                 Ok(SessionResponse::Updated(report))
             }
             None => {
@@ -1313,30 +1322,28 @@ impl<F: ComponentFamily + Sync> Session<F> {
     }
 
     /// Move the session's space across one pool edit.  Incremental edits
-    /// go through the interner ([`StateSpace::edit_shared`]): a hit and a
-    /// miss report the same edit and the same id trace, so the cached endo
-    /// maps and subscription images are carried across identically.  The
-    /// full path re-enumerates into a private space and drops the cache.
+    /// go through the interner ([`StateSpace::edit_shared`]), and a hit
+    /// and a miss land on the same space, so they re-check the same masks
+    /// with the same verdicts.  The full path re-enumerates into a private
+    /// space and forgets the verified masks, as does a cross-validation
+    /// repair.
     fn edit_pool(&mut self, edit: PoolEdit<'_>) -> Result<SessionResponse, SessionError> {
-        let (report, trace) = if self.config.incremental {
-            let (r, trace) = StateSpace::edit_shared(&mut self.space, edit, &self.obs.enum_obs)?;
+        let report = if self.config.incremental {
+            let r = StateSpace::edit_shared(&mut self.space, edit, &self.obs.enum_obs)?;
             self.stats.incremental_edits += 1;
-            // Surviving states keep their instances under new ids, so
-            // cached endo maps are *remapped* through the trace instead of
-            // recomputed.  A cross-validation repair re-enumerated from
-            // scratch, invalidating the trace.
-            let repaired = self.after_incremental_edit();
-            (r, (!repaired).then_some(trace))
+            if self.after_incremental_edit() {
+                self.verified.clear();
+            } else {
+                self.recheck_verified();
+            }
+            r
         } else {
             let (r, next) = self.space.edit_full(edit)?;
             self.space = Arc::new(next);
             self.stats.full_rebuilds += 1;
-            (r, None)
+            self.verified.clear();
+            r
         };
-        match &trace {
-            Some(t) => self.remap_cache(t),
-            None => self.cache.clear(),
-        }
         if let PoolEdit::Remove(..) = edit {
             // Removal can delete states the undo history points at; drop
             // it (the audit log survives).  Inserts only add states, so
@@ -1344,52 +1351,21 @@ impl<F: ComponentFamily + Sync> Session<F> {
             self.catalog.clear_history();
         }
         self.reseat_base();
-        self.publish_after_pool_edit(trace.as_deref());
+        self.publish();
         Ok(SessionResponse::PoolEdited(report))
     }
 
-    /// Carry cached endomorphism maps across a pool edit by renaming
-    /// state ids through the edit's origin `trace` (old id → new id,
-    /// injective on survivors; `usize::MAX` marks states the edit
-    /// dropped — inserts produce a total trace, removals a partial one).
-    ///
-    /// Surviving states keep their instances, so for a survivor `s`
-    /// whose old image also survived, `new[trace[s]] = trace[old[s]]` —
-    /// the same function under new names.  Slots with no carried value
-    /// (fresh states after an insert, survivors whose old image was
-    /// dropped by a removal) get their endo image computed individually;
-    /// if any image left the space the mask is dropped.  Each carried
-    /// map is re-verified against the new ↓-poset; a mask that fails
-    /// (its endo is no longer a component of the edited space) is
-    /// dropped and will be rebuilt — and properly rejected — on next
-    /// use.
-    fn remap_cache(&mut self, trace: &[usize]) {
-        if self.cache.is_empty() {
-            return;
-        }
-        let n_new = self.space.len();
-        let old = std::mem::take(&mut self.cache);
-        'masks: for (mask, old_map) in old {
-            let mut new_map = vec![usize::MAX; n_new];
-            for (s_old, &s_new) in trace.iter().enumerate() {
-                if s_new != usize::MAX {
-                    new_map[s_new] = trace[old_map[s_old]];
-                }
-            }
-            for (s, slot) in new_map.iter_mut().enumerate() {
-                if *slot != usize::MAX {
-                    continue;
-                }
-                let image = self.catalog.family().endo(mask, self.space.state(s));
-                match self.space.id_of(&image) {
-                    Some(id) => *slot = id,
-                    None => continue 'masks,
-                }
-            }
-            if endo::is_strong_endo(self.space.poset(), &new_map) {
+    /// Re-check every verified mask on the space a pool edit moved to.  A
+    /// mask that still checks is kept (one `cache_remaps` each); one that
+    /// fails is dropped, so its views are refused, with the
+    /// [`SessionError::NotAComponent`] the check reports, until it checks
+    /// again.
+    fn recheck_verified(&mut self) {
+        for mask in std::mem::take(&mut self.verified) {
+            if self.check_mask(mask).is_ok() {
                 self.stats.cache_remaps += 1;
                 self.obs.cache_remaps.inc();
-                self.cache.insert(mask, new_map);
+                self.verified.insert(mask);
             }
         }
     }
@@ -1397,7 +1373,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
     /// Cross-validate the space an incremental edit moved to (patched
     /// here or found in the interner) when configured; repair by
     /// rebuilding on mismatch.  Returns whether a repair re-enumerated the
-    /// space (invalidating any splice trace).
+    /// space.
     fn after_incremental_edit(&mut self) -> bool {
         if self.config.cross_validate {
             if let Err(e) = self.space.validate_against_full() {
@@ -1419,20 +1395,22 @@ impl<F: ComponentFamily + Sync> Session<F> {
         let old_base = self.base_id;
         self.catalog.undo()?;
         self.reseat_base();
-        self.publish_base_moved(old_base);
+        if self.base_id != old_base {
+            self.publish();
+        }
         Ok(SessionResponse::Undone)
     }
 
     fn subscribe(&mut self, view: &str) -> Result<SessionResponse, SessionError> {
         let mask = self.catalog.mask_of(view)?;
-        self.ensure_cached(mask)?;
-        let image_id = self.cache[&mask][self.base_id];
-        let sub = self.subs.insert(view.to_owned(), mask, image_id);
+        self.verify_view(mask)?;
+        let image = self.image(mask);
+        let sub = self.subs.insert(view.to_owned(), mask, image.clone());
         self.obs.sub_opened.inc();
         Ok(SessionResponse::Subscribed {
             view: view.to_owned(),
             sub,
-            image: self.space.state(image_id).clone(),
+            image,
         })
     }
 
@@ -1473,95 +1451,59 @@ impl<F: ComponentFamily + Sync> Session<F> {
         self.subs.take_events()
     }
 
-    /// Publish deltas after a commit moved the base state (`Update` /
-    /// `Undo`).  The space itself did not change, so each subscription's
-    /// new image id is one cached-endo-map lookup — `O(1)`, no diffing —
-    /// and subscriptions whose image id did not move emit nothing.  For
-    /// moved images the delta comes from the **base delta** when the
-    /// family's endo is a per-tuple filter
-    /// ([`ComponentFamily::endo_is_row_local`]): filters distribute over
-    /// set difference, so `endo(m, B') \ endo(m, B) = endo(m, B' \ B)`,
-    /// and the base delta is computed once and shared by every mask.
-    /// Non-row-local families fall back to diffing the two (already
-    /// materialised) image states.  A debug-assert twin checks either
-    /// derivation against the full image diff.
-    fn publish_base_moved(&mut self, old_base: usize) {
-        if self.subs.is_empty() || self.base_id == old_base {
+    /// Publish to every subscription after a commit moved the base
+    /// (`Update`, `Undo`), the space (a pool edit), or both (a follower's
+    /// reset).  Each distinct subscribed view is verified first: one that
+    /// is no longer a component ends its streams here, at the commit that
+    /// broke it, with a typed [`TerminateReason::NotAComponent`] event.
+    /// Otherwise its image is the family's endo applied to the base.  An
+    /// image that moved emits the row delta between the image the
+    /// subscription last published and the new one, so the stream
+    /// replays to what a fresh `Read` answers; an unchanged image emits
+    /// nothing.  A pool edit moves no image, so after one only the
+    /// verification can end a stream.
+    fn publish(&mut self) {
+        if self.subs.is_empty() {
             return;
         }
         let timer = self.obs.publish_ns.start();
         enum Resolved {
-            Unchanged(usize),
-            Moved(usize, Instance, Instance),
+            Unchanged,
+            Moved(Instance, Instance, Instance),
             Dead(String),
         }
+        // Every subscription of one mask holds the same image (see the
+        // `SubEntry` invariant), so each mask resolves once.
         let ids = self.subs.ids();
-        // Distinct subscribed masks and their (shared — see SubEntry
-        // invariant) old image ids.
-        let mut masks: BTreeMap<u32, usize> = BTreeMap::new();
-        for &id in &ids {
-            let e = self.subs.entry(id).expect("listed above");
-            masks.entry(e.mask).or_insert(e.image_id);
-        }
-        let row_local = self.catalog.family().endo_is_row_local();
-        let mut base_delta: Option<(Instance, Instance)> = None;
         let mut resolved: BTreeMap<u32, Resolved> = BTreeMap::new();
-        for (&mask, &old_img) in &masks {
-            let res = match self.ensure_cached(mask) {
+        for &id in &ids {
+            let mask = self.subs.entry(id).expect("listed above").mask;
+            if resolved.contains_key(&mask) {
+                continue;
+            }
+            let res = match self.verify_view(mask) {
                 Err(e) => Resolved::Dead(e.to_string()),
                 Ok(()) => {
-                    let new_img = self.cache[&mask][self.base_id];
-                    if new_img == old_img {
-                        Resolved::Unchanged(new_img)
+                    let new = self.image(mask);
+                    let old = &self.subs.entry(id).expect("listed above").image;
+                    if &new == old {
+                        Resolved::Unchanged
                     } else {
-                        let (added, removed) = if row_local {
-                            let (ba, br) = base_delta.get_or_insert_with(|| {
-                                let old = self.space.state(old_base);
-                                let new = self.space.state(self.base_id);
-                                (new.difference(old), old.difference(new))
-                            });
-                            let family = self.catalog.family();
-                            (family.endo(mask, ba), family.endo(mask, br))
-                        } else {
-                            let old = self.space.state(old_img);
-                            let new = self.space.state(new_img);
-                            (new.difference(old), old.difference(new))
-                        };
-                        #[cfg(debug_assertions)]
-                        {
-                            let old = self.space.state(old_img);
-                            let new = self.space.state(new_img);
-                            debug_assert_eq!(
-                                added,
-                                new.difference(old),
-                                "derived delta (added) diverges from the image diff"
-                            );
-                            debug_assert_eq!(
-                                removed,
-                                old.difference(new),
-                                "derived delta (removed) diverges from the image diff"
-                            );
-                        }
-                        Resolved::Moved(new_img, added, removed)
+                        let (added, removed) = (new.difference(old), old.difference(&new));
+                        Resolved::Moved(new, added, removed)
                     }
                 }
             };
             resolved.insert(mask, res);
         }
         for id in ids {
-            let (mask, view) = {
-                let e = self.subs.entry(id).expect("listed above");
-                (e.mask, e.view.clone())
-            };
-            match resolved.get(&mask).expect("resolved above") {
-                Resolved::Unchanged(new_img) => {
-                    self.subs.entry_mut(id).expect("listed above").image_id = *new_img;
-                }
-                Resolved::Moved(new_img, added, removed) => {
-                    let entry = self.subs.entry_mut(id).expect("listed above");
-                    entry.image_id = *new_img;
+            let entry = self.subs.entry_mut(id).expect("listed above");
+            match resolved.get(&entry.mask).expect("resolved above") {
+                Resolved::Unchanged => {}
+                Resolved::Moved(image, added, removed) => {
+                    entry.image = image.clone();
                     entry.seq += 1;
-                    let seq = entry.seq;
+                    let (view, seq) = (entry.view.clone(), entry.seq);
                     let rows = added.total_tuples() + removed.total_tuples();
                     self.obs.sub_events.inc();
                     self.obs.sub_event_rows.record(rows as u64);
@@ -1599,110 +1541,59 @@ impl<F: ComponentFamily + Sync> Session<F> {
         }
     }
 
-    /// Re-seat subscriptions after a pool edit.  The base state did not
-    /// move, and `endo(mask, ·)` is a pure function of the base, so **no
-    /// image changed content and no row event is emitted** — but every
-    /// image's state *id* moved with the space, exactly like the cached
-    /// endo maps.  The splice/removal `trace` renames each subscription's
-    /// image id in `O(1)`; an image the edit dropped (possible only on
-    /// removals, for families whose images are not sub-states of the
-    /// base) is re-resolved through the endo cache, and a mask that is no
-    /// longer a component terminates its subscriptions with a typed
-    /// event.  A debug-assert twin checks the remapped id still denotes
-    /// `endo(mask, base)`.
-    fn publish_after_pool_edit(&mut self, trace: Option<&[usize]>) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let timer = self.obs.publish_ns.start();
-        for id in self.subs.ids() {
-            let (mask, old_img) = {
-                let e = self.subs.entry(id).expect("listed above");
-                (e.mask, e.image_id)
-            };
-            let carried = trace
-                .and_then(|t| t.get(old_img).copied())
-                .filter(|&nid| nid != usize::MAX);
-            let new_img = match carried {
-                Some(nid) => Some(nid),
-                None => match self.ensure_cached(mask) {
-                    Ok(()) => Some(self.cache[&mask][self.base_id]),
-                    Err(e) => {
-                        self.obs.sub_terminated.inc();
-                        self.obs.sub_closed.inc();
-                        self.subs.terminate(
-                            id,
-                            TerminateReason::NotAComponent {
-                                detail: e.to_string(),
-                            },
-                        );
-                        None
-                    }
-                },
-            };
-            if let Some(nid) = new_img {
-                #[cfg(debug_assertions)]
-                {
-                    let expect = self.catalog.family().endo(mask, self.catalog.state());
-                    debug_assert_eq!(
-                        self.space.state(nid),
-                        &expect,
-                        "pool-edit image remap diverged from the family's endo"
-                    );
-                }
-                self.subs.entry_mut(id).expect("listed above").image_id = nid;
-            }
-        }
-        if let Some(t) = timer {
-            let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.obs.publish_ns.record(ns);
-            self.obs.publish_tail_ns.record(ns);
-        }
-    }
-
-    /// Compute (or reuse) the endomorphism map of `mask` and verify it is
-    /// a strong endomorphism of the space's ↓-poset.
-    fn ensure_cached(&mut self, mask: u32) -> Result<(), SessionError> {
-        if self.cache.contains_key(&mask) {
+    /// Make sure a view is a component of the current space: its mask and
+    /// its complement must both be verified strong endomorphisms (Thm
+    /// 2.3.3).  A view already verified counts one `cache_hits`; each mask
+    /// checked here counts one `cache_misses`, and the first that fails is
+    /// the error.
+    fn verify_view(&mut self, mask: u32) -> Result<(), SessionError> {
+        let complement = self.catalog.family().complement(mask);
+        if self.verified.contains(&mask) && self.verified.contains(&complement) {
             self.stats.cache_hits += 1;
             self.obs.cache_hits.inc();
             return Ok(());
         }
-        self.stats.cache_misses += 1;
-        self.obs.cache_misses.inc();
-        let map = {
-            let family = self.catalog.family();
-            let space = &self.space;
-            let results: Vec<Result<usize, SessionError>> = compview_parallel::sharded_collect(
-                space.len(),
-                compview_parallel::num_threads(),
-                |range| {
-                    range
-                        .map(|s| {
-                            let image = family.endo(mask, space.state(s));
-                            space
-                                .id_of(&image)
-                                .ok_or_else(|| SessionError::NotAComponent {
-                                    mask,
-                                    detail: format!("endo image of state {s} escapes the space"),
-                                })
-                        })
-                        .collect()
-                },
-            );
-            let mut map = Vec::with_capacity(space.len());
-            for r in results {
-                map.push(r?);
+        for m in [mask, complement] {
+            if !self.verified.contains(&m) {
+                self.stats.cache_misses += 1;
+                self.obs.cache_misses.inc();
+                self.check_mask(m)?;
+                self.verified.insert(m);
             }
-            map
-        };
-        if !endo::is_strong_endo(self.space.poset(), &map) {
+        }
+        Ok(())
+    }
+
+    /// Check that `mask`'s endomorphism maps every state of the space into
+    /// the space and is a strong endomorphism of its ↓-poset.  The state
+    /// map is built for the check and dropped.
+    fn check_mask(&self, mask: u32) -> Result<(), SessionError> {
+        let family = self.catalog.family();
+        let space = &self.space;
+        let results: Vec<Result<usize, SessionError>> = compview_parallel::sharded_collect(
+            space.len(),
+            compview_parallel::num_threads(),
+            |range| {
+                range
+                    .map(|s| {
+                        let image = family.endo(mask, space.state(s));
+                        space
+                            .id_of(&image)
+                            .ok_or_else(|| SessionError::NotAComponent {
+                                mask,
+                                detail: format!("endo image of state {s} escapes the space"),
+                            })
+                    })
+                    .collect()
+            },
+        );
+        let map = results.into_iter().collect::<Result<Vec<usize>, _>>()?;
+        if !endo::is_strong_endo(space.poset(), &map) {
             return Err(SessionError::NotAComponent {
                 mask,
                 detail: "endo map is not a strong endomorphism of the ↓-poset".to_owned(),
             });
         }
-        self.cache.insert(mask, map);
         Ok(())
     }
 
@@ -1712,7 +1603,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
             states: self.space.len(),
             views: self.catalog.views().count(),
             undoable: self.catalog.undoable(),
-            cached_masks: self.cache.len(),
+            cached_masks: self.verified.len(),
             session_id: self.session_id,
             wal_gen: self.wal.as_ref().map_or(0, wal::WalWriter::gen),
             wal_seq: self.wal.as_ref().map_or(0, wal::WalWriter::last_seq),
@@ -1769,9 +1660,10 @@ impl<F: ComponentFamily + Sync> Session<F> {
         &self.config
     }
 
-    /// Drop all cached endomorphism maps (they are rebuilt on demand).
+    /// Forget every verified mask: the next use of each view checks its
+    /// mask and its complement again.
     pub fn invalidate_cache(&mut self) {
-        self.cache.clear();
+        self.verified.clear();
     }
 
     // -----------------------------------------------------------------
@@ -1992,10 +1884,10 @@ impl<F: ComponentFamily + Sync> Session<F> {
     /// Apply a leader checkpoint to this follower: rebuild the whole
     /// session from the shipped record-0 snapshot image and replace the
     /// local log with it (sequence numbering restarts, the generation id
-    /// becomes the leader's).  Live subscriptions survive: each one's
-    /// image is re-resolved against the rebuilt state, and if it moved, a
-    /// catch-up [`DeltaEvent`] carries the difference so streams stay
-    /// gapless across the jump.
+    /// becomes the leader's).  Live subscriptions survive: each view is
+    /// verified on the rebuilt space and its image re-read from the
+    /// rebuilt state; if it moved, a catch-up [`DeltaEvent`] carries the
+    /// difference so streams stay gapless across the jump.
     ///
     /// # Errors
     /// See [`ApplyError`].  A decode/rebuild error leaves the session
@@ -2024,17 +1916,6 @@ impl<F: ComponentFamily + Sync> Session<F> {
             .ok_or_else(|| ApplyError::BadSnapshot {
                 detail: "snapshot base state is outside its own space".to_owned(),
             })?;
-        // Capture current subscription images before the state jumps, so
-        // the catch-up deltas below can be derived.
-        let sub_images: Vec<(u64, Instance)> = self
-            .subs
-            .ids()
-            .into_iter()
-            .filter_map(|id| {
-                let e = self.subs.entry(id)?;
-                Some((id, self.space.state(e.image_id).clone()))
-            })
-            .collect();
         self.catalog
             .reset(snap.base, snap.views, snap.log, snap.history)
             .map_err(|e| ApplyError::BadSnapshot {
@@ -2042,7 +1923,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
             })?;
         self.space = space;
         self.base_id = base_id;
-        self.cache.clear();
+        self.verified.clear();
         self.config = snap.config;
         self.stats = snap.stats;
         self.session_id = snap.session_id;
@@ -2063,46 +1944,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
         }
         // Re-seat live subscriptions on the rebuilt state; emit the jump
         // as an ordinary row delta where an image changed.
-        for (id, old_image) in sub_images {
-            let Some(e) = self.subs.entry(id) else {
-                continue;
-            };
-            let (mask, view) = (e.mask, e.view.clone());
-            match self.ensure_cached(mask) {
-                Ok(()) => {
-                    let nid = self.cache[&mask][self.base_id];
-                    let new_image = self.space.state(nid).clone();
-                    let entry = self.subs.entry_mut(id).expect("listed above");
-                    entry.image_id = nid;
-                    if new_image != old_image {
-                        entry.seq += 1;
-                        let seq = entry.seq;
-                        let added = new_image.difference(&old_image);
-                        let removed = old_image.difference(&new_image);
-                        self.obs.sub_events.inc();
-                        self.obs
-                            .sub_event_rows
-                            .record((added.total_tuples() + removed.total_tuples()) as u64);
-                        self.subs.emit(DeltaEvent {
-                            sub: id,
-                            view,
-                            seq,
-                            kind: DeltaKind::Rows { added, removed },
-                        });
-                    }
-                }
-                Err(e) => {
-                    self.obs.sub_terminated.inc();
-                    self.obs.sub_closed.inc();
-                    self.subs.terminate(
-                        id,
-                        TerminateReason::NotAComponent {
-                            detail: e.to_string(),
-                        },
-                    );
-                }
-            }
-        }
+        self.publish();
         self.obs.repl_resets.inc();
         if let Some(t) = timer {
             let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -1,5 +1,5 @@
 //! Instrument bundles for the session layer: per-variant request
-//! latencies, endo-cache hit ratios, WAL append/fsync/replay timings,
+//! latencies, view-verification hit ratios, WAL append/fsync/replay timings,
 //! group-commit flush sizes, and checkpoint progress.
 //!
 //! All bundles register their instruments **eagerly** (see
@@ -22,7 +22,9 @@ pub struct SessionObs {
     pub accepted: Counter,
     /// Requests that returned an error.
     pub rejected: Counter,
-    /// Endo-cache hits / misses / remaps-across-insert.
+    /// View verification: uses of an already-verified view / masks
+    /// checked on first use / verified masks kept across a pool edit
+    /// (the [`crate::SessionStats`] `cache_*` counters).
     pub cache_hits: Counter,
     /// See [`SessionObs::cache_hits`].
     pub cache_misses: Counter,

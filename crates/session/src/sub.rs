@@ -30,9 +30,10 @@ use std::collections::BTreeMap;
 /// `Unsubscribe` request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TerminateReason {
-    /// A pool edit reshaped the space and the view's mask is no longer a
-    /// component of it (its endomorphism escapes the space or fails the
-    /// strong-endomorphism check).  The next `Read` of the view would be
+    /// A pool edit reshaped the space and the view is no longer a
+    /// component of it: the endomorphism of its mask or of its complement
+    /// escapes the space or fails the strong-endomorphism check.  The
+    /// stream ends at that edit, and the next `Read` of the view is
     /// rejected the same way.
     NotAComponent {
         /// What failed, as reported by the component check.
@@ -86,11 +87,11 @@ pub struct DeltaEvent {
 pub(crate) struct SubEntry {
     pub view: String,
     pub mask: u32,
-    /// State id of the last published image in the session's space.
-    /// Invariant: after every committed request this equals the id of
-    /// `endo(mask, base)` — pool edits remap it through the splice or
-    /// removal trace, updates move it through the cached endo map.
-    pub image_id: usize,
+    /// The last published image.  Invariant: after every committed
+    /// request this equals `endo(mask, base)`, so every subscription of
+    /// one mask holds the same image.  A commit that moves the base moves
+    /// it, publishing the delta; a pool edit moves no image.
+    pub image: Instance,
     /// Sequence of the last emitted event (0 = only the initial image).
     pub seq: u64,
 }
@@ -114,7 +115,7 @@ impl SubHub {
 
     /// Register a subscription; ids are allocated 1, 2, … in request
     /// order, so they are deterministic for a deterministic stream.
-    pub fn insert(&mut self, view: String, mask: u32, image_id: usize) -> u64 {
+    pub fn insert(&mut self, view: String, mask: u32, image: Instance) -> u64 {
         self.next_id += 1;
         let id = self.next_id;
         self.entries.insert(
@@ -122,7 +123,7 @@ impl SubHub {
             SubEntry {
                 view,
                 mask,
-                image_id,
+                image,
                 seq: 0,
             },
         );
@@ -355,8 +356,8 @@ mod tests {
     #[test]
     fn hub_allocates_ordered_ids_and_terminates() {
         let mut hub = SubHub::default();
-        let a = hub.insert("r".into(), 0b01, 0);
-        let b = hub.insert("w".into(), 0b10, 0);
+        let a = hub.insert("r".into(), 0b01, Instance::new());
+        let b = hub.insert("w".into(), 0b10, Instance::new());
         assert_eq!((a, b), (1, 2));
         assert_eq!(hub.ids(), vec![1, 2]);
         hub.terminate(a, TerminateReason::SlowConsumer);

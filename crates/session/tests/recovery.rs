@@ -236,11 +236,12 @@ fn assert_same(a: &S, b: &S, ctx: &str) {
     assert_eq!(a.stats(), b.stats(), "{ctx}: counters");
 }
 
-/// Byte-identity of the session's *logical* state.  The endo-cache is
-/// derived and never serialized, so a session recovered from a
-/// checkpoint replays the log tail on a cold cache: its cache telemetry
-/// (hits, misses, remaps) may lawfully differ from the uncrashed
-/// session's, and only those counters are exempted here.
+/// Byte-identity of the session's *logical* state.  The set of verified
+/// masks is derived and never serialized, so a session recovered from a
+/// checkpoint replays the log tail with nothing verified: its
+/// verification telemetry (hits, misses, remaps) may lawfully differ
+/// from the uncrashed session's, and only those counters are exempted
+/// here.
 fn assert_same_logical(a: &S, b: &S, ctx: &str) {
     assert_eq!(a.state(), b.state(), "{ctx}: base state");
     assert_eq!(a.base_id(), b.base_id(), "{ctx}: base id");
@@ -293,6 +294,75 @@ fn full_log_recovers_the_exact_session() {
     assert_same(&recovered, &live, "full log");
     recovered.space().validate_against_full().unwrap();
     assert!(recovered.is_durable());
+}
+
+#[test]
+fn a_view_recovered_under_a_coupling_constraint_is_refused() {
+    // A log written without constraints, over pools that draw S from R's
+    // values, then recovered under IND `S ⊆ R`.  There the complement of
+    // R's component (keep S, empty R) leaves the space.
+    let a1 = || Tuple::new([v("a1")]);
+    let pools: BTreeMap<String, Vec<Tuple>> = [
+        ("R".to_owned(), vec![a1(), Tuple::new([v("a2")])]),
+        ("S".to_owned(), vec![a1()]),
+    ]
+    .into();
+    let (store, shared) = MemStore::new();
+    let mut live = Session::open_durable(
+        family(),
+        schema(),
+        &pools,
+        base(),
+        config(),
+        Box::new(store),
+        SyncPolicy::Always,
+    )
+    .unwrap();
+    live.serve(SessionRequest::RegisterView {
+        name: "r".into(),
+        mask: 0b01,
+    })
+    .unwrap();
+    live.checkpoint().unwrap();
+    let bytes = shared.lock().unwrap().clone();
+    let ind = Schema::new(
+        sig(),
+        vec![compview_logic::Constraint::Ind(compview_logic::Ind::new(
+            "S",
+            vec![0],
+            "R",
+            vec![0],
+        ))],
+    );
+    let (mut recovered, _) = Session::recover(
+        family(),
+        ind,
+        Box::new(MemStore::from_bytes(bytes)),
+        SyncPolicy::Always,
+    )
+    .unwrap();
+
+    // Recovery verifies nothing; the view's first use checks its mask and
+    // its complement, and refuses it.
+    let Ok(SessionResponse::Stats(snap)) = recovered.serve(SessionRequest::Stats) else {
+        panic!("stats returns a snapshot");
+    };
+    assert_eq!((snap.views, snap.cached_masks), (1, 0));
+    for req in [
+        SessionRequest::Read { view: "r".into() },
+        SessionRequest::Subscribe { view: "r".into() },
+        SessionRequest::Update {
+            view: "r".into(),
+            new_state: Instance::null_model(&sig()).with("R", rel(1, [["a2"]])),
+        },
+    ] {
+        let err = recovered.serve(req).unwrap_err();
+        assert!(
+            matches!(err, SessionError::NotAComponent { mask: 0b10, .. }),
+            "{err}"
+        );
+    }
+    assert_eq!(recovered.state(), &base());
 }
 
 #[test]

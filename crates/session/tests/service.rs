@@ -4,11 +4,11 @@
 //! and batch dispatch is thread-count invariant.
 
 use compview_core::{CatalogError, ComponentFamily, EditError, SubschemaComponents};
-use compview_logic::Schema;
+use compview_logic::{Constraint, Ind, Schema};
 use compview_relation::{rel, v, Instance, RelDecl, Relation, Signature, Tuple};
 use compview_session::{
-    shard_of, DispatchError, FaultPlan, FaultyStore, Service, Session, SessionConfig, SessionError,
-    SessionRequest, SessionResponse, SessionStats, SyncPolicy,
+    shard_of, DeltaKind, DispatchError, FaultPlan, FaultyStore, Service, Session, SessionConfig,
+    SessionError, SessionRequest, SessionResponse, SessionStats, SyncPolicy, TerminateReason,
 };
 use std::collections::BTreeMap;
 
@@ -113,7 +113,7 @@ fn register_read_update_undo_round_trip() {
         }
     );
 
-    // First read after registration hits the cache built by registration.
+    // First read after registration hits what registration verified.
     let misses = s.stats().cache_misses;
     let SessionResponse::State(part) = s.serve(SessionRequest::Read { view: "r".into() }).unwrap()
     else {
@@ -189,8 +189,8 @@ fn pool_edits_patch_the_space_and_invalidate_the_cache() {
     );
     assert_eq!(s.state(), s.space().state(s.base_id()));
 
-    // The cache survived the insert by id-remapping (the view's mask and
-    // its complement): the next read is a hit, not a recomputation.
+    // Both verified masks (the view's and its complement's) were
+    // re-checked on the grown space and kept: the next read is a hit.
     assert_eq!(s.stats().cache_remaps, 2);
     let misses = s.stats().cache_misses;
     let hits = s.stats().cache_hits;
@@ -247,8 +247,8 @@ fn endo_cache_survives_removal_by_id_remapping() {
     });
     s.bind_registry(&registry);
     register(&mut s, "r", 0b01);
-    // Warm the cache (the register path cached the view's mask and its
-    // complement), then pin the counters.
+    // Registration verified the view's mask and its complement; read,
+    // then pin the counters.
     s.serve(SessionRequest::Read { view: "r".into() }).unwrap();
     let misses = s.stats().cache_misses;
     let remaps = s.stats().cache_remaps;
@@ -266,8 +266,8 @@ fn endo_cache_survives_removal_by_id_remapping() {
     };
     assert_eq!((report.states_before, report.states_after), (8, 4));
 
-    // Both cached masks were carried across the removal by id-remapping
-    // (not cleared): the next read is a hit, not a recomputation.
+    // Both verified masks were re-checked on the shrunk space and kept
+    // (not cleared): the next read is a hit.
     assert_eq!(s.stats().cache_remaps, remaps + 2);
     let hits = s.stats().cache_hits;
     s.serve(SessionRequest::Read { view: "r".into() }).unwrap();
@@ -290,8 +290,8 @@ fn endo_cache_survives_removal_by_id_remapping() {
     assert_eq!(counter("session.cache.misses"), s.stats().cache_misses);
     assert_eq!(counter("session.cache.hits"), s.stats().cache_hits);
 
-    // The remapped session reads exactly what a twin that recomputed
-    // from scratch reads (the full-rebuild path clears its cache).
+    // The session reads exactly what a twin that re-enumerated reads
+    // (the full-rebuild path forgets its verified masks).
     let mut twin = open(SessionConfig {
         incremental: false,
         ..SessionConfig::default()
@@ -310,6 +310,135 @@ fn endo_cache_survives_removal_by_id_remapping() {
             .unwrap()
     );
     assert_eq!(s.space().states(), twin.space().states());
+}
+
+#[test]
+fn invalidate_cache_forgets_verified_masks_and_the_next_read_reverifies() {
+    let mut s = open(SessionConfig::default());
+    register(&mut s, "r", 0b01);
+    let before = s.serve(SessionRequest::Read { view: "r".into() }).unwrap();
+    let cached = |s: &mut Session<SubschemaComponents>| {
+        let SessionResponse::Stats(snap) = s.serve(SessionRequest::Stats).unwrap() else {
+            panic!("stats returns a snapshot");
+        };
+        snap.cached_masks
+    };
+    assert_eq!(cached(&mut s), 2, "the view's mask and its complement");
+
+    s.invalidate_cache();
+    assert_eq!(cached(&mut s), 0);
+    let (misses, hits) = (s.stats().cache_misses, s.stats().cache_hits);
+    let after = s.serve(SessionRequest::Read { view: "r".into() }).unwrap();
+    assert_eq!(after, before, "a re-verified read answers the same bytes");
+    assert_eq!(
+        s.stats().cache_misses,
+        misses + 2,
+        "the view's mask and its complement are checked again"
+    );
+    assert_eq!(s.stats().cache_hits, hits);
+    assert_eq!(cached(&mut s), 2);
+}
+
+/// A session under IND `S ⊆ R` whose `S` pool is empty: until `S` gets
+/// a tuple, the constraint cannot bind and the singleton atoms are
+/// independent components.
+fn open_coupled() -> Session<SubschemaComponents> {
+    let sig = sig();
+    let pools: BTreeMap<String, Vec<Tuple>> = [
+        (
+            "R".to_owned(),
+            vec![Tuple::new([v("a1")]), Tuple::new([v("a2")])],
+        ),
+        ("S".to_owned(), Vec::new()),
+    ]
+    .into();
+    Session::open(
+        SubschemaComponents::singletons(sig.clone()),
+        Schema::new(
+            sig.clone(),
+            vec![Constraint::Ind(Ind::new("S", vec![0], "R", vec![0]))],
+        ),
+        &pools,
+        Instance::null_model(&sig).with("R", rel(1, [["a1"]])),
+        SessionConfig::default(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_pool_edit_that_breaks_a_views_complement_refuses_the_view() {
+    let mut s = open_coupled();
+    register(&mut s, "r", 0b01);
+    let SessionResponse::Subscribed { sub, .. } = s
+        .serve(SessionRequest::Subscribe { view: "r".into() })
+        .unwrap()
+    else {
+        panic!("subscribe answers with the image");
+    };
+    let read = s.serve(SessionRequest::Read { view: "r".into() }).unwrap();
+
+    // With a tuple in S's pool the complement of R's component (keep S,
+    // empty R) maps a legal state outside the space: R's view is no
+    // longer a component, though its own mask still checks.
+    let a1 = Tuple::new([v("a1")]);
+    s.serve(SessionRequest::InsertPoolTuple {
+        relation: "S".into(),
+        tuple: a1.clone(),
+    })
+    .unwrap();
+    // The subscription ended at the edit, with the typed terminal event.
+    let events = s.take_events();
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!((events[0].sub, events[0].seq), (sub, 1));
+    assert!(
+        matches!(
+            &events[0].kind,
+            DeltaKind::Terminated {
+                reason: TerminateReason::NotAComponent { .. }
+            }
+        ),
+        "{events:?}"
+    );
+    assert_eq!(s.active_subscriptions(), 0);
+
+    // Every use of the view is refused the way registration is.
+    let a2 = Instance::null_model(&sig()).with("R", rel(1, [["a2"]]));
+    for req in [
+        SessionRequest::RegisterView {
+            name: "r2".into(),
+            mask: 0b01,
+        },
+        SessionRequest::Read { view: "r".into() },
+        SessionRequest::Update {
+            view: "r".into(),
+            new_state: a2.clone(),
+        },
+        SessionRequest::Subscribe { view: "r".into() },
+    ] {
+        let err = assert_rejected(&mut s, req, "NotAComponent");
+        assert!(
+            matches!(err, SessionError::NotAComponent { mask: 0b10, .. }),
+            "{err}"
+        );
+    }
+    assert!(!s.has_events());
+
+    // Taking the tuple out again makes the view a component again.
+    s.serve(SessionRequest::RemovePoolTuple {
+        relation: "S".into(),
+        tuple: a1,
+    })
+    .unwrap();
+    assert_eq!(
+        s.serve(SessionRequest::Read { view: "r".into() }).unwrap(),
+        read
+    );
+    s.serve(SessionRequest::Update {
+        view: "r".into(),
+        new_state: a2,
+    })
+    .unwrap();
+    assert_eq!(s.state().rel("R"), &rel(1, [["a2"]]));
 }
 
 // -------------------------------------------------- failure paths, typed

@@ -241,9 +241,9 @@ fn full_edits_build_a_space_of_their_own() {
 }
 
 /// A request script that exercises every path a space move touches:
-/// registrations (endo maps verified), reads, an update, a subscription,
-/// both kinds of pool edit (cache remaps, image re-seating), a rejected
-/// edit, and stats.
+/// registrations (masks verified), reads, an update, a subscription,
+/// both kinds of pool edit (verified masks re-checked, subscribed views
+/// verified), a rejected edit, and stats.
 fn script(tag: &str) -> Vec<SessionRequest> {
     let extra = t(&format!("{tag}_extra"));
     let r0 = t(&format!("{tag}_r0"));

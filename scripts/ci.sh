@@ -198,4 +198,16 @@ for workload in durable_write replicated_mem many_sessions; do
     fi
 done
 
+# The traced run also drives the benchmark's in-process twin sessions
+# through the session API: `invalidate_cache` followed by a cold `Read`,
+# pool edits that re-check every verified mask, and the
+# `session.cache.*` counter deltas.  Same correctness check.
+echo "==> perfbench --workload many_sessions --seconds 2 --trace 1 (traced correctness smoke)"
+result="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload many_sessions --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+if ! grep -q '"correct": true' <<< "$result" || ! grep -q '"failed": 0,' <<< "$result"; then
+    echo "perfbench many_sessions --trace 1 did not check out: $result"
+    exit 1
+fi
+
 echo "CI OK"
