@@ -52,6 +52,18 @@ pub trait ComponentFamily {
     /// the image of `γ_S⊖` — the §1.1 surjectivity discipline).
     fn is_component_state(&self, mask: u32, part: &Instance) -> bool;
 
+    /// A canonical encoding of what this family's endomorphisms depend
+    /// on besides their arguments, opening with a tag of the family's
+    /// type: two families with equal fingerprints have equal
+    /// [`ComponentFamily::endo`] on every mask and state.  It keys the
+    /// component verdicts a shared space records
+    /// ([`crate::StateSpace::verdict`]), so sessions of one space check
+    /// each component once between them.  `None`, the default, opts out:
+    /// every session then checks for itself.
+    fn fingerprint(&self) -> Option<Vec<u8>> {
+        None
+    }
+
     /// Constant-complement translation (Theorem 3.1.1): the unique legal
     /// state whose `mask` part is `new_part` and whose complement part
     /// equals `base`'s.

@@ -55,7 +55,7 @@ pub use family::{verify_family, verify_family_with, ComponentFamily, FamilyRepor
 pub use filtered::{FilteredOutcome, FilteredView};
 pub use horizontal::HorizontalComponents;
 pub use pathview::{PathComponents, PathTranslateError};
-pub use space::{EditError, EditReport, PoolEdit, PoolError, StateSpace};
+pub use space::{EditError, EditReport, PoolEdit, PoolError, StateSpace, Verdict};
 pub use strategy::{AdmissibilityReport, Strategy};
 pub use subschema::SubschemaComponents;
 pub use translate::TranslateError;

@@ -66,6 +66,18 @@
 //! - The reference paths never look up: [`StateSpace::enumerate`] and
 //!   friends, [`StateSpace::edit_full`] and
 //!   [`StateSpace::validate_against_full`] build their own spaces.
+//!
+//! # One check per component and space
+//!
+//! Whether a family's mask is a component of the space depends only on
+//! the space, the family and the mask.  Each space therefore keeps a
+//! table of verdicts keyed by a family fingerprint and a mask
+//! ([`StateSpace::verdict`]), so the sessions of one key check each
+//! component once between them.  The table is never trusted across a
+//! change: a clone starts with an empty one, and both in-place edits
+//! empty it, since a sole holder's space is patched in place and its key
+//! changes under it.  Keys are compared in full, and no lock is held
+//! while a check runs.
 
 use compview_lattice::FinPoset;
 use compview_logic::{EnumObs, EnumerationConfig, LegalBlock, Schema};
@@ -90,6 +102,32 @@ pub struct StateSpace {
     /// Enumeration provenance for incremental edits; `None` when the space
     /// was built from an explicit state list.
     inc: Option<IncState>,
+    /// Component verdicts checked on this space.
+    verdicts: Verdicts,
+}
+
+/// A component verdict: `Ok`, or why the mask is not a component.
+pub type Verdict = Result<(), String>;
+
+/// Verdicts per family fingerprint and mask (see
+/// [`StateSpace::verdict`]).
+#[derive(Default)]
+struct Verdicts(Mutex<HashMap<Vec<u8>, HashMap<u32, Verdict>>>);
+
+impl Clone for Verdicts {
+    /// Empty: a copy of a space is made to be edited, and a verdict on
+    /// the original says nothing about the edited space.
+    fn clone(&self) -> Verdicts {
+        Verdicts::default()
+    }
+}
+
+impl Verdicts {
+    fn table(&self) -> MutexGuard<'_, HashMap<Vec<u8>, HashMap<u32, Verdict>>> {
+        // No check runs under the lock, so a poisoned guard still guards
+        // a consistent map.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Enumeration provenance: what [`StateSpace::insert_tuple`] /
@@ -422,6 +460,7 @@ impl StateSpace {
                 blocks: detail.blocks,
                 state_blocks,
             }),
+            verdicts: Verdicts::default(),
         }
     }
 
@@ -453,6 +492,7 @@ impl StateSpace {
             index,
             poset,
             inc: None,
+            verdicts: Verdicts::default(),
         }
     }
 
@@ -573,6 +613,7 @@ impl StateSpace {
     /// On error the space is untouched.
     pub fn insert_tuple(&mut self, rel: &str, t: Tuple) -> Result<EditReport, EditError> {
         let k = self.check_insert(rel, &t)?;
+        self.verdicts = Verdicts::default();
         let n_old = self.states.len();
         let inc = self.inc.take().expect("checked editable");
         // Blocks gained: exactly the legal subsets of the grown pool that
@@ -731,6 +772,7 @@ impl StateSpace {
     /// (e.g. `compview-session`) must reject that case themselves.
     pub fn remove_tuple(&mut self, rel: &str, t: &Tuple) -> Result<EditReport, EditError> {
         let (k, p) = self.check_remove(rel, t)?;
+        self.verdicts = Verdicts::default();
         let n_old = self.states.len();
         let inc = self.inc.take().expect("checked editable");
         let n_rels = self.schema.sig().decls().len();
@@ -912,6 +954,40 @@ impl StateSpace {
             pools.insert(name, pool);
         }
         Ok((pools, max_bits))
+    }
+
+    /// Whether `mask` of the family fingerprinted `fingerprint` is a
+    /// component of this space: the verdict recorded here if any caller
+    /// has checked it, else `check`'s, recorded for the next caller.  The
+    /// flag says whether the table answered.  `check` runs with the table
+    /// unlocked, so two callers racing on one key may both check; both
+    /// record the same verdict.
+    ///
+    /// A fingerprint must determine the family's endomorphisms (see
+    /// `ComponentFamily::fingerprint`); only then is a recorded verdict
+    /// the one `check` would give.
+    pub fn verdict(
+        &self,
+        fingerprint: &[u8],
+        mask: u32,
+        check: impl FnOnce() -> Verdict,
+    ) -> (Verdict, bool) {
+        let known = self
+            .verdicts
+            .table()
+            .get(fingerprint)
+            .and_then(|masks| masks.get(&mask))
+            .cloned();
+        if let Some(verdict) = known {
+            return (verdict, true);
+        }
+        let verdict = check();
+        self.verdicts
+            .table()
+            .entry(fingerprint.to_vec())
+            .or_default()
+            .insert(mask, verdict.clone());
+        (verdict, false)
     }
 
     /// Assert this (incrementally edited) space is byte-identical to a
@@ -1528,5 +1604,46 @@ mod tests {
         assert_eq!(ri, rf);
         assert_eq!(inc_sp.states(), full_sp.states());
         inc_sp.validate_against_full().unwrap();
+    }
+
+    /// Ask `space` for the verdict on `mask` under fingerprint `fp`;
+    /// returns the verdict and whether the table answered (no check ran).
+    fn ask(space: &StateSpace, fp: &[u8], mask: u32, verdict: Verdict) -> (Verdict, bool) {
+        let mut ran = false;
+        let (got, reused) = space.verdict(fp, mask, || {
+            ran = true;
+            verdict
+        });
+        assert_eq!(reused, !ran, "the flag says whether the check ran");
+        (got, reused)
+    }
+
+    #[test]
+    fn verdicts_are_kept_per_fingerprint_and_mask_and_never_survive_a_change() {
+        let mut sp = two_unary_space();
+        let no = || Err("no".to_owned());
+        assert_eq!(ask(&sp, b"f", 1, Ok(())), (Ok(()), false));
+        assert_eq!(ask(&sp, b"f", 2, no()), (no(), false));
+        // Recorded: the table answers, whatever a new check would say.
+        assert_eq!(ask(&sp, b"f", 1, no()), (Ok(()), true));
+        assert_eq!(ask(&sp, b"f", 2, Ok(())), (no(), true));
+        // Fingerprints are compared in full: a prefix or another family
+        // is checked afresh.
+        assert_eq!(ask(&sp, b"", 1, no()), (no(), false));
+        assert_eq!(ask(&sp, b"ff", 1, no()), (no(), false));
+
+        // A clone starts empty, and leaves the original's table alone.
+        let copy = sp.clone();
+        assert_eq!(ask(&copy, b"f", 1, no()), (no(), false));
+        assert_eq!(ask(&sp, b"f", 1, no()), (Ok(()), true));
+
+        // Each in-place edit empties the table.
+        sp.insert_tuple("R", Tuple::new([v("a3")])).unwrap();
+        assert_eq!(ask(&sp, b"f", 1, no()), (no(), false));
+        sp.remove_tuple("R", &Tuple::new([v("a3")])).unwrap();
+        assert_eq!(ask(&sp, b"f", 1, Ok(())), (Ok(()), false));
+        // A refused edit changes nothing, and forgets nothing.
+        assert!(sp.remove_tuple("R", &Tuple::new([v("zz")])).is_err());
+        assert_eq!(ask(&sp, b"f", 1, no()), (Ok(()), true));
     }
 }

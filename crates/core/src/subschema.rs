@@ -9,7 +9,7 @@
 //! relation outside it, and reconstruction is relation-wise union.
 
 use crate::family::ComponentFamily;
-use compview_relation::{Instance, Signature};
+use compview_relation::{binio, Instance, Signature};
 
 /// Components given by a partition of the relation symbols.
 #[derive(Clone, Debug)]
@@ -93,6 +93,31 @@ impl ComponentFamily for SubschemaComponents {
             && self.groups.iter().enumerate().all(|(i, group)| {
                 (mask >> i) & 1 == 1 || group.iter().all(|name| part.rel(name).is_empty())
             })
+    }
+
+    /// The tag `"subschema"`, then the signature (each relation's name
+    /// and attributes, in declaration order) and the groups in atom
+    /// order, every list and string length-prefixed.
+    fn fingerprint(&self) -> Option<Vec<u8>> {
+        let len = |n: usize| u32::try_from(n).expect("count fits u32");
+        let mut out = Vec::new();
+        binio::put_str(&mut out, "subschema");
+        binio::put_u32(&mut out, len(self.sig.len()));
+        for decl in self.sig.decls() {
+            binio::put_str(&mut out, decl.name());
+            binio::put_u32(&mut out, len(decl.arity()));
+            for attr in decl.attrs() {
+                binio::put_str(&mut out, attr);
+            }
+        }
+        binio::put_u32(&mut out, len(self.groups.len()));
+        for group in &self.groups {
+            binio::put_u32(&mut out, len(group.len()));
+            for name in group {
+                binio::put_str(&mut out, name);
+            }
+        }
+        Some(out)
     }
 }
 

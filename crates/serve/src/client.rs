@@ -4,10 +4,23 @@
 //! the whole point of the server's dispatcher — use [`Client::send`] to
 //! pipeline many requests and [`Client::recv`] to collect the responses:
 //! the server answers one connection's requests strictly in order.
-//! Each send is one write of a whole frame; responses are read through
-//! a fixed 16-KiB buffer, so a burst the server coalesced into one write
-//! is taken in by one read and parsed out of memory, frame by frame, in
-//! the server's order.
+//!
+//! Both directions move bursts.  A send appends its frame to an outgoing
+//! buffer, and the buffer goes to the socket in one write when the
+//! client is about to read from the socket (no whole frame is buffered
+//! yet), on [`Client::flush`], once it passes the 64-KiB burst ceiling
+//! the server's writers share, and when the client is dropped.  So a
+//! pipelined window of requests costs one write, arrives at the server
+//! as one burst, and is handed to its shards as one run per shard.  The
+//! bytes on the wire are exactly those of one write per frame.
+//! Responses are read through a fixed 16-KiB buffer, so a burst the
+//! server coalesced into one write is taken in by one read and parsed
+//! out of memory, frame by frame, in the server's order.
+//!
+//! A caller that sends and then waits on something other than this
+//! client's own receive path — another connection's event, a timer, a
+//! channel — must call [`Client::flush`] first, or its requests may
+//! still sit in the buffer.
 //!
 //! # Delta events
 //!
@@ -24,13 +37,13 @@ use crate::proto::{
     decode_sessions_reply_payload, decode_topology_reply_payload, decode_trace_response_payload,
     encode_metrics_request_payload, encode_read_at_payload, encode_request_payload,
     encode_sessions_payload, encode_topology_request_payload, encode_trace_request_payload,
-    encode_traced_request_payload, expect_handshake, is_event_payload, read_frame, send_handshake,
-    write_frame, ProtoError, SessionsReply, TopologyReply, READ_BUFFER,
+    encode_traced_request_payload, expect_handshake, frame_buffered, is_event_payload, put_frame,
+    read_frame, send_handshake, ProtoError, SessionsReply, TopologyReply, READ_BUFFER, WRITE_BURST,
 };
 use compview_obs::{MetricsSnapshot, TraceCtx, TraceSnapshot};
 use compview_session::{DeltaEvent, DispatchError, SessionRequest, SessionResponse};
 use std::collections::VecDeque;
-use std::io::{self, BufReader, ErrorKind};
+use std::io::{self, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// One outcome off the wire: the service's per-request answer (itself a
@@ -62,9 +75,11 @@ enum Arrival {
 /// A blocking connection to a [`crate::Server`].
 pub struct Client {
     /// The socket, read through a fixed buffer (a pipelined burst of
-    /// responses costs one `read`) and written through `get_mut`, one
-    /// `write` per frame.
+    /// responses costs one `read`) and written through `get_mut`.
     stream: BufReader<TcpStream>,
+    /// Framed requests not yet written: the next burst (see the module
+    /// docs for when it is written).
+    out: Vec<u8>,
     inbox: VecDeque<Arrival>,
     /// Once the transport has failed: why.  Every later send or receive
     /// returns the same [`ProtoError::ConnectionLost`] instead of a
@@ -86,6 +101,7 @@ impl Client {
         expect_handshake(&mut stream)?;
         Ok(Client {
             stream: BufReader::with_capacity(READ_BUFFER, stream),
+            out: Vec::new(),
             inbox: VecDeque::new(),
             lost: None,
         })
@@ -105,21 +121,49 @@ impl Client {
         ProtoError::ConnectionLost { detail }
     }
 
-    /// Frame and send one request payload; a transport failure poisons
-    /// the connection.
+    /// Frame one request payload into the outgoing buffer, writing the
+    /// buffer once it passes the burst ceiling.
     fn send_payload(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
         if let Some(e) = self.lost_err() {
             return Err(e);
         }
-        write_frame(self.stream.get_mut(), payload).map_err(|e| match e {
-            ProtoError::Io(io) => self.mark_lost(format!("send failed: {io}")),
-            other => other,
-        })
+        put_frame(&mut self.out, payload)?;
+        if self.out.len() >= WRITE_BURST {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Write every buffered request to the socket in one write.  The
+    /// receive calls do this themselves before they block, so only a
+    /// caller that sends and then waits on something else needs it (see
+    /// [`Client::send`]).
+    ///
+    /// # Errors
+    /// [`ProtoError::ConnectionLost`] when the transport has failed; a
+    /// failed write poisons the connection.
+    pub fn flush(&mut self) -> Result<(), ProtoError> {
+        if let Some(e) = self.lost_err() {
+            return Err(e);
+        }
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.get_mut().write_all(&self.out);
+        self.out.clear();
+        self.out.shrink_to(WRITE_BURST);
+        sent.map_err(|io| self.mark_lost(format!("send failed: {io}")))
     }
 
     /// Send one request without waiting for its response (pipelining).
     /// Responses arrive in send order; collect them with
     /// [`Client::recv`].
+    ///
+    /// The request is buffered, and written with the requests around it
+    /// in one burst: at the latest when this client next reads from the
+    /// socket, on [`Client::flush`], or on drop.  A caller that sends and
+    /// then waits on something other than this client — another
+    /// connection's event, a timer — must call [`Client::flush`] first.
     ///
     /// # Errors
     /// [`ProtoError::ConnectionLost`] — deterministically, on every call
@@ -155,8 +199,13 @@ impl Client {
         self.recv()
     }
 
-    /// Read one frame off the wire and classify it.
+    /// Read one frame off the wire and classify it.  A read that may
+    /// block writes the buffered requests first: their answers may be
+    /// what it waits for.
     fn read_arrival(&mut self, owed: &str) -> Result<Arrival, ProtoError> {
+        if !frame_buffered(self.stream.buffer()) {
+            self.flush()?;
+        }
         if let Some(e) = self.lost_err() {
             return Err(e);
         }
@@ -457,5 +506,13 @@ impl Client {
             }
             Err(e) => Err(e),
         })
+    }
+}
+
+impl Drop for Client {
+    /// Write what is still buffered, so a request sent without waiting
+    /// for its answer is not lost with the client.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }

@@ -43,6 +43,12 @@ pub const FRAME_HEADER: usize = 4 + 4;
 /// its pages are touched only as bytes arrive.
 pub(crate) const READ_BUFFER: usize = 16 << 10;
 
+/// Ceiling of one coalesced socket write, shared by both ends: the
+/// server's connection writer and [`crate::Client`] pack queued frames
+/// into one buffer up to this many bytes (a single larger frame still
+/// goes alone), so one burst costs one `write` system call.
+pub(crate) const WRITE_BURST: usize = 64 << 10;
+
 /// Marker byte of a `Metrics` request payload and of its response.
 ///
 /// A metrics request is the single byte `[KIND_METRICS]` — no session

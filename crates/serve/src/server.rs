@@ -10,8 +10,8 @@
 //! conn 3 ──reader──┘   └─► shard queue 1 ──dispatcher 1─► Service part 1 ─┘   writer
 //! ```
 //!
-//! One reader thread per connection decodes frames and pushes each
-//! request onto the queue of the shard that owns its session —
+//! One reader thread per connection decodes frames and routes each
+//! request to the queue of the shard that owns its session —
 //! `shard_of(session) % N`, the stable hash partition from
 //! `compview-session`.  Each of the N dispatcher threads owns one
 //! [`Service`] partition; each time it wakes it drains *its whole queue*
@@ -24,14 +24,22 @@
 //! are byte-identical to a single-dispatcher server — only the
 //! parallelism changes.
 //!
-//! Both ends of a connection move bursts, not single frames.  The
-//! reader takes in whatever the socket holds through a fixed 16-KiB
-//! buffer and parses every whole frame out of memory.  The writer, each
-//! time it wakes, takes every frame queued for the wire under one lock
-//! (up to a 64-KiB ceiling; a single larger frame goes alone), encodes
-//! them into one reused buffer, and hands them to the kernel in one
-//! write.  The bytes on the wire are exactly those of one write per
-//! frame; `serve.frames_out` ÷ `serve.write_calls` is the mean burst.
+//! Requests move in bursts at every hop, not one by one.  The reader
+//! takes in whatever the socket holds through a fixed 16-KiB buffer,
+//! parses every whole frame out of memory into one run per shard, and
+//! hands each run to its shard under one lock with one wake-up
+//! (`serve.frames_in` ÷ `serve.enqueue_runs` is the mean run).  Runs
+//! are handed over before any read that may block, before a node-wide
+//! barrier and before the connection is dropped, so each shard's queue
+//! holds a connection's requests in arrival order.  A dispatcher hands
+//! each connection its batch's responses as one run: one connection
+//! lookup, one lock and one writer wake-up.  The writer, each time it
+//! wakes, takes every frame queued for the wire under one lock (up to
+//! the 64-KiB `WRITE_BURST` ceiling; a single larger frame goes
+//! alone), encodes them into one reused buffer, and hands them to the
+//! kernel in one write.  The bytes on the wire are exactly those of one
+//! write per frame; `serve.frames_out` ÷ `serve.write_calls` is the
+//! mean burst.
 //!
 //! # Ordering
 //!
@@ -90,9 +98,9 @@ use crate::proto::{
     decode_wire_request, encode_event_payload, encode_heartbeat_payload,
     encode_metrics_response_payload, encode_replicate_ack_payload, encode_result_payload,
     encode_sessions_reply_payload, encode_topology_reply_payload, encode_trace_response_payload,
-    encode_wal_frame_payload, expect_handshake, put_frame, read_frame, send_handshake,
-    ReplicateAck, SessionsReply, TopoRole, TopoSession, TopologyReply, WalFrame, WireRequest,
-    FRAME_HEADER, READ_BUFFER,
+    encode_wal_frame_payload, expect_handshake, frame_buffered, put_frame, read_frame,
+    send_handshake, ReplicateAck, SessionsReply, TopoRole, TopoSession, TopologyReply, WalFrame,
+    WireRequest, FRAME_HEADER, READ_BUFFER, WRITE_BURST,
 };
 use compview_core::ComponentFamily;
 use compview_obs::{Counter, Gauge, MetricsSnapshot, Registry, TraceCtx, TraceSnapshot};
@@ -174,11 +182,6 @@ enum StreamKey {
     /// A replication WAL stream.
     Repl(String, u64),
 }
-
-/// Ceiling of one coalesced socket write: the writer packs queued frames
-/// into one buffer up to this many bytes (a single larger frame still
-/// goes alone), so one wake-up costs one `write` system call.
-const WRITE_BURST: usize = 64 << 10;
 
 /// What a follower asks its dispatcher to apply (see [`Item::Apply`]).
 pub(crate) enum ApplyKind {
@@ -316,6 +319,10 @@ struct ServeObs {
     connections: Counter,
     /// Request frames decoded off the wire.
     frames_in: Counter,
+    /// Hand-offs from connection readers to shard queues: one per run of
+    /// requests enqueued under one lock with one wake-up, and one per
+    /// node-wide barrier.  `serve.frames_in` ÷ this is the mean run.
+    enqueue_runs: Counter,
     /// Frames written to the wire (responses and events alike).
     frames_out: Counter,
     /// Socket writes that carried them: one per writer wake-up, each
@@ -353,6 +360,7 @@ impl ServeObs {
         ServeObs {
             connections: registry.counter("serve.connections"),
             frames_in: registry.counter("serve.frames_in"),
+            enqueue_runs: registry.counter("serve.enqueue_runs"),
             frames_out: registry.counter("serve.frames_out"),
             write_calls: registry.counter("serve.write_calls"),
             events_out: registry.counter("serve.events_out"),
@@ -374,13 +382,13 @@ struct ShardQueue {
     wake: Condvar,
 }
 
-/// Push `item` onto `shard`'s queue, raise the queue-depth high-water
-/// mark, and wake the shard's dispatcher — the one way anything enters
-/// a shard queue.
-fn enqueue(shared: &Shared, shard: usize, item: Item) {
+/// Push `items` onto `shard`'s queue under one lock, raise the
+/// queue-depth high-water mark, and wake the shard's dispatcher once —
+/// the one way anything enters a shard queue.
+fn enqueue(shared: &Shared, shard: usize, items: impl IntoIterator<Item = Item>) {
     let sq = &shared.shards[shard];
     let mut q = sq.queue.lock().expect("queue");
-    q.push_back(item);
+    q.extend(items);
     shared.obs.queue_depth_hwm.raise(q.len() as u64);
     drop(q);
     sq.wake.notify_one();
@@ -390,7 +398,18 @@ fn enqueue(shared: &Shared, shard: usize, item: Item) {
 /// and notices every dispatcher must see.
 fn broadcast(shared: &Shared, mut item: impl FnMut() -> Item) {
     for shard in 0..shared.shards.len() {
-        enqueue(shared, shard, item());
+        enqueue(shared, shard, [item()]);
+    }
+}
+
+/// Hand a connection reader's per-shard runs to their shards, one
+/// [`enqueue`] per non-empty run, and leave every run empty.
+fn enqueue_runs(shared: &Shared, runs: &mut [Vec<Item>]) {
+    for (shard, run) in runs.iter_mut().enumerate() {
+        if !run.is_empty() {
+            enqueue(shared, shard, run.drain(..));
+            shared.obs.enqueue_runs.inc();
+        }
     }
 }
 
@@ -461,6 +480,10 @@ enum RouteChange {
     /// An `Unsubscribed` response: the stream is over.
     Deactivate(StreamKey),
 }
+
+/// A finished response on its way to a connection's writer: its
+/// sequence number, payload and route change.
+type Response = (u64, Vec<u8>, Option<RouteChange>);
 
 /// The outbound half of one connection, owned by its writer thread and
 /// fed by dispatchers.
@@ -726,7 +749,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
         for (shard, records) in shares.into_iter().enumerate() {
             if !records.is_empty() {
                 let done = tx.clone();
-                enqueue(&self.shared, shard, Item::Apply { records, done });
+                enqueue(&self.shared, shard, [Item::Apply { records, done }]);
             }
         }
         rx
@@ -818,7 +841,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
             session: Box::new(session),
             done: tx,
         };
-        enqueue(&self.shared, shard, adopt);
+        enqueue(&self.shared, shard, [adopt]);
         rx.recv()
             .map_err(|_| "server stopped before the adoption ran".to_owned())?
     }
@@ -947,99 +970,32 @@ fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
     // whole frame of a burst, and the frames are parsed out of memory.
     let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     let mut seq: u64 = 0;
+    // Requests decoded but not yet handed over, one run per shard.  Runs
+    // are handed over before anything that could reorder them against
+    // this connection's later items: a read that may block, a barrier,
+    // the connection's end.
+    let mut runs: Vec<Vec<Item>> = (0..n_shards).map(|_| Vec::new()).collect();
     loop {
+        // A connection accepted behind the shutdown's close sweep is
+        // closed here, or its writer would wait forever.
         if shared.stop.load(Ordering::SeqCst) {
-            // A connection accepted behind the shutdown's close sweep is
-            // closed here, or its writer would wait forever.
-            drop_connection(conn, shared);
-            return;
+            break;
         }
-        match read_frame(&mut stream) {
+        if !frame_buffered(stream.buffer()) {
+            enqueue_runs(shared, &mut runs);
+        }
+        let wire = match read_frame(&mut stream) {
             Ok(Some(payload)) => match decode_wire_request(&payload) {
-                Ok(wire) => {
-                    shared.obs.frames_in.inc();
-                    match wire {
-                        WireRequest::Dispatch(session, req) => {
-                            let shard = shard_of(&session, n_shards);
-                            let item = Item::Dispatch {
-                                conn,
-                                seq,
-                                session,
-                                req,
-                                trace: None,
-                            };
-                            enqueue(shared, shard, item);
-                        }
-                        WireRequest::DispatchTraced { session, req, ctx } => {
-                            let shard = shard_of(&session, n_shards);
-                            let item = Item::Dispatch {
-                                conn,
-                                seq,
-                                session,
-                                req,
-                                trace: Some((ctx, Instant::now())),
-                            };
-                            enqueue(shared, shard, item);
-                        }
-                        WireRequest::Replicate {
-                            session,
-                            from_seq,
-                            gen,
-                        } => {
-                            let shard = shard_of(&session, n_shards);
-                            let item = Item::Replicate {
-                                conn,
-                                seq,
-                                session,
-                                from_seq,
-                                gen,
-                            };
-                            enqueue(shared, shard, item);
-                        }
-                        WireRequest::ReadAt {
-                            session,
-                            view,
-                            gen,
-                            min_seq,
-                            wait_ms,
-                        } => {
-                            let shard = shard_of(&session, n_shards);
-                            let item = Item::ReadAt {
-                                conn,
-                                seq,
-                                session,
-                                view,
-                                gen,
-                                min_seq,
-                                // Clamped so a hostile wait cannot
-                                // overflow `Instant` arithmetic.
-                                deadline: Instant::now()
-                                    + Duration::from_millis(wait_ms.min(86_400_000)),
-                            };
-                            enqueue(shared, shard, item);
-                        }
-                        // The node-wide verbs are barriers across every
-                        // shard; the countdown picks the answerer.
-                        WireRequest::Metrics => barrier(shared, conn, seq, Verb::Metrics),
-                        WireRequest::Sessions => barrier(shared, conn, seq, Verb::Sessions),
-                        WireRequest::Trace => barrier(shared, conn, seq, Verb::Trace),
-                        WireRequest::Topology => barrier(shared, conn, seq, Verb::Topology),
-                    }
-                    seq += 1;
-                }
+                Ok(wire) => wire,
                 // A CRC-valid frame that does not decode is a protocol
                 // violation, not line noise: drop the connection.
                 Err(_) => {
                     shared.obs.malformed_frames.inc();
-                    drop_connection(conn, shared);
-                    return;
+                    break;
                 }
             },
             // Clean hangup between frames.
-            Ok(None) => {
-                drop_connection(conn, shared);
-                return;
-            }
+            Ok(None) => break,
             // Torn frame, bad CRC, over-limit length, transport failure:
             // nothing after this point can be trusted.
             Err(e) => {
@@ -1060,17 +1016,94 @@ fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
                         continue;
                     }
                     shared.obs.idle_disconnects.inc();
-                    drop_connection(conn, shared);
-                    return;
+                    break;
                 }
                 if !shared.stop.load(Ordering::SeqCst) && !is_disconnect(&e) {
                     shared.obs.malformed_frames.inc();
                 }
-                drop_connection(conn, shared);
-                return;
+                break;
+            }
+        };
+        shared.obs.frames_in.inc();
+        let routed = match wire {
+            WireRequest::Dispatch(session, req) => Ok((
+                shard_of(&session, n_shards),
+                Item::Dispatch {
+                    conn,
+                    seq,
+                    session,
+                    req,
+                    trace: None,
+                },
+            )),
+            // The queue wait is timed from decode, so it includes the
+            // time the request waits in its run.
+            WireRequest::DispatchTraced { session, req, ctx } => Ok((
+                shard_of(&session, n_shards),
+                Item::Dispatch {
+                    conn,
+                    seq,
+                    session,
+                    req,
+                    trace: Some((ctx, Instant::now())),
+                },
+            )),
+            WireRequest::Replicate {
+                session,
+                from_seq,
+                gen,
+            } => Ok((
+                shard_of(&session, n_shards),
+                Item::Replicate {
+                    conn,
+                    seq,
+                    session,
+                    from_seq,
+                    gen,
+                },
+            )),
+            WireRequest::ReadAt {
+                session,
+                view,
+                gen,
+                min_seq,
+                wait_ms,
+            } => Ok((
+                shard_of(&session, n_shards),
+                Item::ReadAt {
+                    conn,
+                    seq,
+                    session,
+                    view,
+                    gen,
+                    min_seq,
+                    // Clamped so a hostile wait cannot overflow `Instant`
+                    // arithmetic.
+                    deadline: Instant::now() + Duration::from_millis(wait_ms.min(86_400_000)),
+                },
+            )),
+            WireRequest::Metrics => Err(Verb::Metrics),
+            WireRequest::Sessions => Err(Verb::Sessions),
+            WireRequest::Trace => Err(Verb::Trace),
+            WireRequest::Topology => Err(Verb::Topology),
+        };
+        match routed {
+            Ok((shard, item)) => runs[shard].push(item),
+            // A node-wide verb is a barrier across every shard, behind
+            // everything this connection sent before it; the countdown
+            // picks the answerer.
+            Err(verb) => {
+                enqueue_runs(shared, &mut runs);
+                barrier(shared, conn, seq, verb);
+                shared.obs.enqueue_runs.inc();
             }
         }
+        seq += 1;
     }
+    // What was decoded before the end still runs, ahead of the
+    // connection's cancellation on every shard.
+    enqueue_runs(shared, &mut runs);
+    drop_connection(conn, shared);
 }
 
 /// Whether a read error is an ordinary transport drop (peer vanished,
@@ -1191,19 +1224,14 @@ fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &A
     }
 }
 
-/// Hand a finished response to the connection's writer: park it under
-/// its sequence number and queue the run of consecutive responses
-/// starting at `next_seq`, applying each one's route change where it
-/// lands.  Any dispatcher may call this for any connection; the
-/// per-connection mutex serialises the queueing and the sequence numbers
-/// restore request order.
-fn deliver_response(
-    shared: &Shared,
-    conn: u64,
-    seq: u64,
-    payload: Vec<u8>,
-    change: Option<RouteChange>,
-) {
+/// Hand a run of finished responses for one connection to its writer:
+/// one `conns` lookup, one slot lock and at most one writer wake-up for
+/// the whole run.  Each response parks under its sequence number, then
+/// the consecutive responses starting at `next_seq` are queued, applying
+/// each one's route change where it lands.  Any dispatcher may call this
+/// for any connection; the per-connection mutex serialises the queueing
+/// and the sequence numbers restore request order.
+fn deliver_responses(shared: &Shared, conn: u64, run: impl IntoIterator<Item = Response>) {
     let Some(slot) = shared
         .conns
         .lock()
@@ -1211,13 +1239,15 @@ fn deliver_response(
         .get(&conn)
         .map(Arc::clone)
     else {
-        return; // connection already gone; drop the response
+        return; // connection already gone; drop the responses
     };
     let mut st = slot.state.lock().expect("out state");
     if st.closed {
         return;
     }
-    st.pending.insert(seq, (payload, change));
+    for (seq, payload, change) in run {
+        st.pending.insert(seq, (payload, change));
+    }
     let mut queued_any = false;
     loop {
         let next = st.next_seq;
@@ -1259,6 +1289,17 @@ fn deliver_response(
     if queued_any {
         slot.wake.notify_one();
     }
+}
+
+/// [`deliver_responses`] for a run of one.
+fn deliver_response(
+    shared: &Shared,
+    conn: u64,
+    seq: u64,
+    payload: Vec<u8>,
+    change: Option<RouteChange>,
+) {
+    deliver_responses(shared, conn, [(seq, payload, change)]);
 }
 
 /// What became of one frame handed to a stream.
@@ -1774,15 +1815,14 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
             for key in unlearned {
                 routes.remove(&key);
             }
-            for (slot_i, (conn, seq, i)) in slots.into_iter().enumerate() {
-                let change = changes[slot_i].take();
-                deliver_response(
-                    shared,
-                    conn,
-                    seq,
-                    encode_result_payload(&results[i]),
-                    change,
-                );
+            // Responses go out one run per connection.
+            let mut runs: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
+            for ((conn, seq, i), change) in slots.into_iter().zip(changes) {
+                let payload = encode_result_payload(&results[i]);
+                runs.entry(conn).or_default().push((seq, payload, change));
+            }
+            for (conn, run) in runs {
+                deliver_responses(shared, conn, run);
             }
         }
         // Ship what the batch appended (records, plus any checkpoint's

@@ -5,13 +5,16 @@
 use compview_core::SubschemaComponents;
 use compview_logic::Schema;
 use compview_relation::{rel, v, Instance, RelDecl, Signature, Tuple};
+use compview_serve::proto::{encode_request_payload, put_frame};
 use compview_serve::{Client, Server};
 use compview_session::wal;
-use compview_session::{Service, Session, SessionConfig, SessionRequest};
+use compview_session::{
+    MemStore, Service, Session, SessionConfig, SessionRequest, SessionResponse, SyncPolicy,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serialises the env-twiddling tests (COMPVIEW_THREADS is process-global).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -312,6 +315,151 @@ fn malformed_frame_drops_only_that_connection() {
         .expect("counter registered")
         .1;
     assert_eq!(malformed, 1);
+}
+
+/// `r` (mask `0b01`) set to these `R` rows.
+fn update_r(rows: &[&str]) -> SessionRequest {
+    SessionRequest::Update {
+        view: "r".into(),
+        new_state: Instance::null_model(&sig()).with("R", rel(1, rows.iter().map(|t| [*t]))),
+    }
+}
+
+/// The `R` rows `client` reads through `session`'s view `r`.
+fn read_r(client: &mut Client, session: &str) -> Instance {
+    match client.request(session, &SessionRequest::Read { view: "r".into() }) {
+        Ok(Ok(SessionResponse::State(state))) => state,
+        other => panic!("read: {other:?}"),
+    }
+}
+
+/// `session`'s last WAL sequence number, as its `Stats` reports it.
+fn wal_seq(client: &mut Client, session: &str) -> u64 {
+    match client.request(session, &SessionRequest::Stats) {
+        Ok(Ok(SessionResponse::Stats(snap))) => snap.wal_seq,
+        other => panic!("stats: {other:?}"),
+    }
+}
+
+/// One raw write carrying K well-formed updates and then a garbage
+/// frame: every update before the bad frame is applied and logged, and
+/// the bad frame costs its own connection only.  The server takes such a
+/// burst in with one read, so this pins that requests already decoded
+/// are handed to their shard before the connection is dropped.
+#[test]
+fn a_burst_cut_by_a_malformed_frame_applies_every_frame_before_it() {
+    const K: usize = 15;
+    let _guard = ENV_LOCK.lock().unwrap();
+    let sig = sig();
+    let (store, _log) = MemStore::new();
+    let mut alpha = Session::open_durable(
+        SubschemaComponents::singletons(sig.clone()),
+        Schema::unconstrained(sig.clone()),
+        &pools(),
+        Instance::null_model(&sig).with("R", rel(1, [["a1"]])),
+        SessionConfig::default(),
+        Box::new(store),
+        SyncPolicy::Always,
+    )
+    .unwrap();
+    alpha
+        .serve(SessionRequest::RegisterView {
+            name: "r".into(),
+            mask: 0b01,
+        })
+        .unwrap();
+    let mut svc = Service::new();
+    svc.add_session("alpha", alpha).unwrap();
+    let server = Server::bind("127.0.0.1:0", svc).unwrap();
+    let addr = server.local_addr();
+
+    let mut healthy = Client::connect(addr).unwrap();
+    let before = wal_seq(&mut healthy, "alpha");
+    let rows = |i: usize| {
+        if i.is_multiple_of(2) {
+            vec!["a2"]
+        } else {
+            vec!["a1", "a2"]
+        }
+    };
+    let mut burst = Vec::new();
+    for i in 0..K {
+        put_frame(
+            &mut burst,
+            &encode_request_payload("alpha", &update_r(&rows(i))),
+        )
+        .unwrap();
+    }
+    // A whole, CRC-valid frame whose payload is no request: the reader
+    // has it buffered with the updates, so nothing forces a hand-off
+    // between the last update and the refusal.
+    put_frame(&mut burst, &[0xEE; 16]).unwrap();
+    {
+        use std::io::{Read, Write};
+        let mut bad = std::net::TcpStream::connect(addr).unwrap();
+        let mut hs = [0u8; 6];
+        bad.read_exact(&mut hs).unwrap();
+        bad.write_all(b"CVRPC1").unwrap();
+        bad.write_all(&burst).unwrap();
+        // The server closes this connection; the read sees EOF once it
+        // has, answered or not.
+        let mut sink = Vec::new();
+        let _ = bad.read_to_end(&mut sink);
+    }
+
+    // A second client sees all K applied, and the log holds K records.
+    let mut second = Client::connect(addr).unwrap();
+    let last = Instance::null_model(&sig).with("R", rel(1, rows(K - 1).iter().map(|t| [*t])));
+    assert_eq!(read_r(&mut second, "alpha"), last);
+    assert_eq!(wal_seq(&mut second, "alpha"), before + K as u64);
+    // The healthy connection is unaffected.
+    assert_eq!(wal_seq(&mut healthy, "alpha"), before + K as u64);
+    let svc = server.shutdown();
+    let snap = svc.registry().snapshot();
+    let counter = |name: &str| {
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("counter {name} missing"))
+            .1
+    };
+    assert_eq!(counter("serve.malformed_frames"), 1);
+    assert_eq!(counter("serve.connections"), 3);
+}
+
+/// A request sent without waiting for its answer is not lost with its
+/// client: dropping the client writes what it still buffers.  Another
+/// connection's read is not ordered after it, so the second client
+/// polls until the update shows (a lost request fails at the deadline).
+#[test]
+fn a_client_dropped_after_sending_still_delivers_its_request() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let mut svc = demo_service();
+    svc.serve(
+        "alpha",
+        SessionRequest::RegisterView {
+            name: "r".into(),
+            mask: 0b01,
+        },
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", svc).unwrap();
+    let addr = server.local_addr();
+    {
+        let mut fire = Client::connect(addr).unwrap();
+        fire.send("alpha", &update_r(&["a2"])).unwrap();
+    }
+    let want = Instance::null_model(&sig()).with("R", rel(1, [["a2"]]));
+    let mut reader = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while read_r(&mut reader, "alpha") != want {
+        assert!(
+            Instant::now() < deadline,
+            "the dropped client's update never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
 }
 
 /// `Server::shutdown` under load always returns.  Each cycle binds two

@@ -20,7 +20,8 @@ use compview_serve::proto::{
     SessionsReply, TopoRole, TopoSession, TopologyReply, WalFrame, WireRequest, FRAME_HEADER,
     MAX_FRAME,
 };
-use compview_serve::ProtoError;
+use compview_serve::proto::{expect_handshake, HANDSHAKE};
+use compview_serve::{Client, ProtoError};
 use compview_session::{
     DeltaEvent, DeltaKind, DispatchError, SessionError, SessionRequest, SessionResponse,
     SessionStats, StatsSnapshot, TerminateReason,
@@ -1018,5 +1019,117 @@ fn a_stall_inside_a_frame_is_torn_not_idle() {
             }
             other => panic!("stall at {stall_at}: {other:?}"),
         }
+    }
+}
+
+/// A send through one of [`Client`]'s `send*` calls.
+type SendCall = Box<dyn Fn(&mut Client) -> Result<(), ProtoError>>;
+
+/// A random request sent through a random `send*` call, with the
+/// payload that call frames.
+fn rand_send(rng: &mut StdRng) -> (SendCall, Vec<u8>) {
+    let session = rand_name(rng);
+    let mut reqs = every_request(rng);
+    let mut req = reqs.swap_remove(rng.random_range(0..reqs.len()));
+    if rng.random_range(0..8u32) == 0 {
+        // Past the burst ceiling on its own: written alone, at once.
+        let rows: Vec<Tuple> = (0..2500).map(|_| rand_tuple(rng, 3)).collect();
+        req = SessionRequest::Update {
+            view: rand_name(rng),
+            new_state: Instance::new().with("R", Relation::from_tuples(3, rows)),
+        };
+    }
+    let ctx = TraceCtx {
+        trace_id: rng.next_u64(),
+        parent_span: rng.next_u64(),
+    };
+    let (gen, min_seq, wait_ms) = (rng.next_u64(), rng.next_u64(), rng.random_range(0..1000u64));
+    match rng.random_range(0..7u32) {
+        0 => {
+            let payload = encode_traced_request_payload(&session, &req, ctx);
+            (
+                Box::new(move |c: &mut Client| c.send_traced(&session, &req, ctx)),
+                payload,
+            )
+        }
+        1 => (
+            Box::new(|c: &mut Client| c.send_metrics()),
+            encode_metrics_request_payload(),
+        ),
+        2 => (
+            Box::new(|c: &mut Client| c.send_sessions()),
+            encode_sessions_payload(),
+        ),
+        3 => (
+            Box::new(|c: &mut Client| c.send_trace()),
+            encode_trace_request_payload(),
+        ),
+        4 => (
+            Box::new(|c: &mut Client| c.send_topology()),
+            encode_topology_request_payload(),
+        ),
+        5 => {
+            let view = rand_name(rng);
+            let payload = encode_read_at_payload(&session, &view, gen, min_seq, wait_ms);
+            let wait = std::time::Duration::from_millis(wait_ms);
+            (
+                Box::new(move |c: &mut Client| c.send_read_at(&session, &view, gen, min_seq, wait)),
+                payload,
+            )
+        }
+        _ => {
+            let payload = encode_request_payload(&session, &req);
+            (
+                Box::new(move |c: &mut Client| c.send(&session, &req)),
+                payload,
+            )
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The coalescing client writes exactly the bytes of one
+    /// `write_frame` per request, in send order: a raw listener that
+    /// answers nothing receives every byte sent before each `flush` by
+    /// the time it returns, and everything else once the client is
+    /// dropped.  The listener reads under a timeout, so a lost flush
+    /// fails instead of hanging.
+    #[test]
+    fn the_coalescing_client_writes_every_frame_in_order(seed in 0u64..1 << 32) {
+        use std::io::Write as _;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accept = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            peer.write_all(HANDSHAKE).unwrap();
+            expect_handshake(&mut peer).unwrap();
+            peer
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let mut peer = accept.join().unwrap();
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+
+        let mut expected = Vec::new();
+        let mut received = Vec::new();
+        for _ in 0..rng.random_range(0..40usize) {
+            if rng.random_range(0..5u32) == 0 {
+                client.flush().unwrap();
+                let mut more = vec![0u8; expected.len() - received.len()];
+                peer.read_exact(&mut more).unwrap();
+                received.extend(more);
+                prop_assert_eq!(&received, &expected);
+            } else {
+                let (send, payload) = rand_send(&mut rng);
+                send(&mut client).unwrap();
+                write_frame(&mut expected, &payload).unwrap();
+            }
+        }
+        drop(client);
+        peer.read_to_end(&mut received).unwrap();
+        prop_assert_eq!(received.len(), expected.len());
+        prop_assert!(received == expected);
     }
 }

@@ -9,9 +9,9 @@
 //! the enumerated [`StateSpace`] of its key — schema, tuple pools and
 //! enumeration guard.  The space is a pure function of that key, so every
 //! session of one key holds the same allocation, enumerated once
-//! ([`StateSpace::shared`]); everything that depends on the component
-//! family stays per session.  Three properties make it a service rather
-//! than a demo:
+//! ([`StateSpace::shared`]); the catalog, the verified masks, the
+//! counters and the log stay per session.  Three properties make it a
+//! service rather than a demo:
 //!
 //! * **Incremental state-space maintenance** — a pool edit
 //!   ([`SessionRequest::InsertPoolTuple`] / `RemovePoolTuple`) moves the
@@ -26,7 +26,9 @@
 //!   [`ComponentFamily`] implementation is *checked*, not trusted).  Each
 //!   mask is checked once per space, on first use, by building its state
 //!   map, checking it and dropping it; a pool edit re-checks the verified
-//!   masks on the new space.  Reads and subscription images are the
+//!   masks on the new space.  The shared space records each verdict
+//!   under the family's fingerprint ([`StateSpace::verdict`]), so the
+//!   sessions of one key check each mask once between them.  Reads and subscription images are the
 //!   family's endomorphism applied to the base (Thm 3.1.1), so the
 //!   session keeps nothing indexed by state id.
 //! * **Exception safety** — every rejected request leaves the session
@@ -69,7 +71,7 @@ use compview_obs::{DistSpan, Registry, TraceCtx};
 
 use compview_core::{
     Catalog, CatalogError, ComponentFamily, EditError, EditReport, PoolEdit, StateSpace,
-    UpdateReport,
+    UpdateReport, Verdict,
 };
 use compview_lattice::endo;
 use compview_logic::{EnumObs, Schema};
@@ -1564,37 +1566,25 @@ impl<F: ComponentFamily + Sync> Session<F> {
         Ok(())
     }
 
-    /// Check that `mask`'s endomorphism maps every state of the space into
-    /// the space and is a strong endomorphism of its ↓-poset.  The state
-    /// map is built for the check and dropped.
+    /// Check that `mask` is a component of the current space
+    /// ([`check_component`]).  A family with a fingerprint takes the
+    /// verdict another session of this space already checked, if any
+    /// (`session.verify.reused` counts those); the session's own counters
+    /// do not tell the two apart.
     fn check_mask(&self, mask: u32) -> Result<(), SessionError> {
         let family = self.catalog.family();
-        let space = &self.space;
-        let results: Vec<Result<usize, SessionError>> = compview_parallel::sharded_collect(
-            space.len(),
-            compview_parallel::num_threads(),
-            |range| {
-                range
-                    .map(|s| {
-                        let image = family.endo(mask, space.state(s));
-                        space
-                            .id_of(&image)
-                            .ok_or_else(|| SessionError::NotAComponent {
-                                mask,
-                                detail: format!("endo image of state {s} escapes the space"),
-                            })
-                    })
-                    .collect()
-            },
-        );
-        let map = results.into_iter().collect::<Result<Vec<usize>, _>>()?;
-        if !endo::is_strong_endo(space.poset(), &map) {
-            return Err(SessionError::NotAComponent {
-                mask,
-                detail: "endo map is not a strong endomorphism of the ↓-poset".to_owned(),
-            });
-        }
-        Ok(())
+        let check = || check_component(family, &self.space, mask);
+        let verdict = match family.fingerprint() {
+            Some(fingerprint) => {
+                let (verdict, reused) = self.space.verdict(&fingerprint, mask, check);
+                if reused {
+                    self.obs.verify_reused.inc();
+                }
+                verdict
+            }
+            None => check(),
+        };
+        verdict.map_err(|detail| SessionError::NotAComponent { mask, detail })
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -1963,4 +1953,33 @@ fn snapshot_space(schema: Schema, bytes: &[u8], obs: &EnumObs) -> Result<Arc<Sta
     let (pools, max_bits) =
         StateSpace::decode_geometry(&mut dec).map_err(|e| format!("state space: {e}"))?;
     StateSpace::shared(schema, &pools, max_bits, obs).map_err(|e| format!("state space: {e}"))
+}
+
+/// Whether `mask`'s endomorphism maps every state of `space` into the
+/// space and is a strong endomorphism of its ↓-poset, or why not.  The
+/// state map is built for the check and dropped.
+fn check_component<F: ComponentFamily + Sync>(
+    family: &F,
+    space: &StateSpace,
+    mask: u32,
+) -> Verdict {
+    let results: Vec<Result<usize, String>> = compview_parallel::sharded_collect(
+        space.len(),
+        compview_parallel::num_threads(),
+        |range| {
+            range
+                .map(|s| {
+                    let image = family.endo(mask, space.state(s));
+                    space
+                        .id_of(&image)
+                        .ok_or_else(|| format!("endo image of state {s} escapes the space"))
+                })
+                .collect()
+        },
+    );
+    let map = results.into_iter().collect::<Result<Vec<usize>, _>>()?;
+    if !endo::is_strong_endo(space.poset(), &map) {
+        return Err("endo map is not a strong endomorphism of the ↓-poset".to_owned());
+    }
+    Ok(())
 }

@@ -30,6 +30,10 @@ pub struct SessionObs {
     pub cache_misses: Counter,
     /// See [`SessionObs::cache_hits`].
     pub cache_remaps: Counter,
+    /// Masks checked here whose verdict the shared space already held,
+    /// recorded by another session of the same family
+    /// (`StateSpace::verdict`); each also counts as a `cache_misses`.
+    pub verify_reused: Counter,
     /// Per-variant request latency, nanoseconds.
     pub register_ns: Histogram,
     /// See [`SessionObs::register_ns`].
@@ -123,6 +127,7 @@ impl SessionObs {
             cache_hits: registry.counter("session.cache.hits"),
             cache_misses: registry.counter("session.cache.misses"),
             cache_remaps: registry.counter("session.cache.remaps"),
+            verify_reused: registry.counter("session.verify.reused"),
             register_ns: registry.histogram("session.serve.register_view_ns"),
             read_ns: registry.histogram("session.serve.read_ns"),
             update_ns: registry.histogram("session.serve.update_ns"),

@@ -464,6 +464,108 @@ fn a_coupling_constraint_is_refused_on_a_shared_space() {
     free.serve(register("r", 0b01)).unwrap();
 }
 
+/// The schema under IND `S ⊆ R`, and pools drawing both relations from
+/// the same values tagged `tag`, so `S` can be non-empty.
+fn coupled(tag: &str) -> (Schema, Pools) {
+    let values: Vec<Tuple> = (0..2).map(|i| t(&format!("{tag}_{i}"))).collect();
+    let schema = Schema::new(
+        sig(),
+        vec![Constraint::Ind(Ind::new("S", vec![0], "R", vec![0]))],
+    );
+    (
+        schema,
+        [("R".to_owned(), values.clone()), ("S".to_owned(), values)].into(),
+    )
+}
+
+/// `session.verify.reused` on `registry`.
+fn reused(registry: &Registry) -> u64 {
+    registry.counter("session.verify.reused").get()
+}
+
+#[test]
+fn a_verdict_from_the_table_is_observably_identical_to_a_check() {
+    let tag = "verdict";
+    let (p, reqs) = (pools(tag, 2), script(tag));
+    // Pins hold every key the script visits, so the second session meets
+    // the spaces the first one checked, with their verdicts.
+    let mut grown = p.clone();
+    grown.get_mut("R").unwrap().push(t(&format!("{tag}_extra")));
+    let _pins = [open(&p), open(&grown)];
+    let first_reg = Registry::new();
+    let (mut first, first_bytes) = open_durable(&p, &first_reg);
+    let checked = run(&mut first, &first_bytes, &reqs);
+    let second_reg = Registry::new();
+    let (mut second, second_bytes) = open_durable(&p, &second_reg);
+    let answered = run(&mut second, &second_bytes, &reqs);
+
+    // Every check of the second session was answered by the table: one
+    // per mask verified on first use, one per mask re-checked (and kept)
+    // after a pool edit.  The first one had to check on its own.
+    let checks = |r: &Registry| {
+        r.counter("session.cache.misses").get() + r.counter("session.cache.remaps").get()
+    };
+    assert!(checks(&second_reg) > 0);
+    assert_eq!(reused(&second_reg), checks(&second_reg));
+    assert!(reused(&first_reg) < checks(&first_reg));
+    // Responses (full `Stats` included), events, log and checkpoint bytes.
+    assert_eq!(checked, answered);
+
+    // A refusal reads the same from the table as from the check.
+    let (schema, cp) = coupled("verdict_refused");
+    let (one, two) = (Registry::new(), Registry::new());
+    let mut sessions = [
+        open_with(schema.clone(), &cp, &one),
+        open_with(schema, &cp, &two),
+    ];
+    let refusals: Vec<SessionError> = sessions
+        .iter_mut()
+        .map(|s| s.serve(register("r", 0b01)).unwrap_err())
+        .collect();
+    assert!(
+        matches!(refusals[0], SessionError::NotAComponent { mask: 0b10, .. }),
+        "{:?}",
+        refusals[0]
+    );
+    assert_eq!(refusals[0].to_string(), refusals[1].to_string());
+    assert_eq!(refusals[0], refusals[1]);
+    assert_eq!((reused(&one), reused(&two)), (0, 2));
+}
+
+#[test]
+fn two_groupings_of_one_space_never_share_a_verdict() {
+    // Under IND S ⊆ R, keeping R alone is a component and keeping S
+    // alone is not.  Mask 0b01 is R in one grouping and S in the other.
+    let (schema, p) = coupled("grouping");
+    let open_grouped = |groups: [&str; 2], registry: &Registry| {
+        Session::open_observed(
+            SubschemaComponents::new(sig(), groups.map(|g| vec![g.to_owned()]).into()),
+            schema.clone(),
+            &p,
+            Instance::null_model(&sig()),
+            SessionConfig::default(),
+            registry,
+        )
+        .unwrap()
+    };
+    let (rs_reg, sr_reg) = (Registry::new(), Registry::new());
+    let mut rs = open_grouped(["R", "S"], &rs_reg);
+    let mut sr = open_grouped(["S", "R"], &sr_reg);
+    assert!(same(&rs, &sr));
+    let refused = rs.serve(register("v", 0b01)).unwrap_err();
+    assert!(
+        matches!(refused, SessionError::NotAComponent { mask: 0b10, .. }),
+        "{refused:?}"
+    );
+    // Read through `rs`'s verdicts, 0b01 would pass and 0b10 would fail.
+    let refused = sr.serve(register("v", 0b01)).unwrap_err();
+    assert!(
+        matches!(refused, SessionError::NotAComponent { mask: 0b01, .. }),
+        "{refused:?}"
+    );
+    assert_eq!((reused(&rs_reg), reused(&sr_reg)), (0, 0));
+}
+
 /// A three-relation signature: a record 0 written under [`sig`] lacks a
 /// pool for `T`.
 fn wide_sig() -> Signature {

@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every test suite and every example or benchmark smoke runs under
+# `timeout` with a generous limit: a request that never leaves a client,
+# or any other lost wake-up, then fails the gate with exit 124 instead of
+# stalling it.
+suite_limit=1800
+smoke_limit=600
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -14,13 +21,13 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test --workspace"
-cargo test -q --workspace
+timeout "$suite_limit" cargo test -q --workspace
 
 echo "==> cargo test -p compview-session (service + incremental maintenance)"
-cargo test -q -p compview-session
+timeout "$suite_limit" cargo test -q -p compview-session
 
 echo "==> cargo test -p compview-obs (metrics registry, histogram + codec proptests)"
-cargo test -q -p compview-obs
+timeout "$suite_limit" cargo test -q -p compview-obs
 
 # Fault-injection sweep: the recovery suite derives its injected-fault
 # plans (failing append/sync/truncate points, short-write lengths) from
@@ -28,28 +35,28 @@ cargo test -q -p compview-obs
 # reproduction.  Defaults to a fixed seed for run-to-run determinism.
 echo "==> recovery fault-injection suite (COMPVIEW_FAULT_SEED=${COMPVIEW_FAULT_SEED:-20260806})"
 COMPVIEW_FAULT_SEED="${COMPVIEW_FAULT_SEED:-20260806}" \
-    cargo test -q -p compview-session --test recovery
+    timeout "$suite_limit" cargo test -q -p compview-session --test recovery
 
 # The wire protocol's contract is byte-identity with in-process dispatch;
 # the loopback suite proves it at 1, 2, and 8 worker threads, plus
 # connection isolation under malformed frames.
 echo "==> cargo test -p compview-serve (wire codec + loopback server)"
-cargo test -q -p compview-serve
-cargo test -q -p compview-serve --test loopback
+timeout "$suite_limit" cargo test -q -p compview-serve
+timeout "$suite_limit" cargo test -q -p compview-serve --test loopback
 
 # The sharded dispatcher's contract is the same byte-identity at 1, 2,
 # and 8 dispatcher shards — responses, per-session WAL files, and
 # post-batch-consistent metrics snapshots (proptested random
 # interleavings with pipelined probes included).
 echo "==> cargo test -p compview-serve --test sharded (sharded dispatcher)"
-cargo test -q -p compview-serve --test sharded
+timeout "$suite_limit" cargo test -q -p compview-serve --test sharded
 
 # The subscription subsystem's contract: the delta stream replayed over
 # the subscribe-time image reconstructs a fresh read byte-for-byte, at
 # 1/2/8 worker threads x 1/2/8 dispatcher shards (proptested), plus
 # slow-consumer cuts, typed errors, and dead-connection cleanup.
 echo "==> cargo test -p compview-serve --test subs (delta subscriptions)"
-cargo test -q -p compview-serve --test subs
+timeout "$suite_limit" cargo test -q -p compview-serve --test subs
 
 # The replication subsystem's contract: every follower ends
 # byte-identical to the leader (state, WAL file, Read responses) at the
@@ -64,7 +71,7 @@ cargo test -q -p compview-serve --test subs
 # COMPVIEW_FAULT_SEED, same rotation discipline as the recovery suite.
 echo "==> cargo test -p compview-serve --test replica (WAL shipping, COMPVIEW_FAULT_SEED=${COMPVIEW_FAULT_SEED:-20260806})"
 COMPVIEW_FAULT_SEED="${COMPVIEW_FAULT_SEED:-20260806}" \
-    cargo test -q -p compview-serve --test replica
+    timeout "$suite_limit" cargo test -q -p compview-serve --test replica
 
 # Writers coalesce frames into one socket write and followers apply
 # whatever is already buffered as one batch, so a cut or a bit flip can
@@ -73,7 +80,7 @@ COMPVIEW_FAULT_SEED="${COMPVIEW_FAULT_SEED:-20260806}" \
 # second fixed seed too.
 echo "==> replica fault scenario under a second seed (COMPVIEW_FAULT_SEED=20261017)"
 COMPVIEW_FAULT_SEED=20261017 \
-    cargo test -q -p compview-serve --test replica -- --exact \
+    timeout "$suite_limit" cargo test -q -p compview-serve --test replica -- --exact \
     follower_converges_byte_identical_under_cuts_flips_and_leader_restart
 
 echo "==> cargo build --example session --example recovery --example serve --benches"
@@ -85,7 +92,7 @@ cargo build --benches -p compview-bench
 # traced update's dispatch, WAL append and fsync spans must come back
 # through the `Trace` drain.
 echo "==> cargo run --example obs (observability smoke)"
-obs_out="$(cargo run -q --example obs)"
+obs_out="$(timeout "$smoke_limit" cargo run -q --example obs)"
 grep -qF "  session.dispatch " <<< "$obs_out"
 grep -qF "  wal.append " <<< "$obs_out"
 grep -qF "  wal.fsync " <<< "$obs_out"
@@ -93,7 +100,7 @@ grep -qF "  wal.fsync " <<< "$obs_out"
 # The subscription walkthrough doubles as a push-path smoke test: a live
 # delta stream over TCP must deliver all three updates in sequence.
 echo "==> cargo run --example serve -- --subscribe orders/sup (delta stream smoke)"
-subscribe_out="$(cargo run -q --example serve -- --subscribe orders/sup)"
+subscribe_out="$(timeout "$smoke_limit" cargo run -q --example serve -- --subscribe orders/sup)"
 grep -q "event seq 3" <<< "$subscribe_out"
 
 # The replication walkthrough doubles as a cross-process topology smoke
@@ -109,7 +116,7 @@ grep -q "event seq 3" <<< "$subscribe_out"
 # below can observe the same chain end to end (DESIGN.md §16).
 echo "==> cargo run --example serve -- --follow (leader + 2 followers + chained follower smoke)"
 leader_out="$(mktemp)"
-cargo run -q --example serve -- --trace 1 --hold 60 > "$leader_out" &
+timeout "$smoke_limit" cargo run -q --example serve -- --trace 1 --hold 60 > "$leader_out" &
 leader_pid=$!
 leader_addr=""
 for _ in $(seq 1 100); do
@@ -122,13 +129,13 @@ done
 # Follower 1: plain follow, runs to completion — untraced on purpose, so
 # a tracing-unaware peer exercises the untagged-frame compatibility path
 # against a tracing leader.
-follow_out="$(cargo run -q --example serve -- --follow "$leader_addr")"
+follow_out="$(timeout "$smoke_limit" cargo run -q --example serve -- --follow "$leader_addr")"
 grep -q "replicated view 'sup' holds 2 tuples" <<< "$follow_out"
 grep -q "write refused: not the leader — retry against $leader_addr" <<< "$follow_out"
 
 # Follower 2: held open so a third process can chain off it.
 f2_out="$(mktemp)"
-cargo run -q --example serve -- --trace 1 --follow "$leader_addr" --hold 60 > "$f2_out" &
+timeout "$smoke_limit" cargo run -q --example serve -- --trace 1 --follow "$leader_addr" --hold 60 > "$f2_out" &
 f2_pid=$!
 f2_addr=""
 for _ in $(seq 1 100); do
@@ -141,7 +148,7 @@ done
 # Chained follower: tails follower 2, but its refusal and root hint must
 # name the ROOT leader.  Held open too, completing a live 3-node chain.
 f3_out="$(mktemp)"
-cargo run -q --example serve -- --trace 1 --follow "$f2_addr" --hold 60 > "$f3_out" &
+timeout "$smoke_limit" cargo run -q --example serve -- --trace 1 --follow "$f2_addr" --hold 60 > "$f3_out" &
 f3_pid=$!
 f3_addr=""
 for _ in $(seq 1 100); do
@@ -157,7 +164,7 @@ grep -q "write refused: not the leader — retry against $leader_addr" "$f3_out"
 # Topology introspection: walking the chain from the leaf renders the
 # whole three-node tree, root first, with per-session positions.
 echo "==> cargo run --example serve -- --topology (3-node chain rendering)"
-topo_out="$(cargo run -q --example serve -- --topology "$f3_addr")"
+topo_out="$(timeout "$smoke_limit" cargo run -q --example serve -- --topology "$f3_addr")"
 grep -q "replication topology from $f3_addr (3 node(s))" <<< "$topo_out"
 grep -q "$leader_addr  \[root\]" <<< "$topo_out"
 grep -q "└─ $f2_addr  \[follower\]" <<< "$topo_out"
@@ -168,7 +175,7 @@ grep -q "└─ $f3_addr  \[follower\]" <<< "$topo_out"
 # all three server nodes — proof the context propagated client → leader
 # shard → WAL → follower → chained follower (DESIGN.md §16).
 echo "==> cargo run --example serve -- --trace-update (cross-process span tree)"
-trace_out="$(cargo run -q --example serve -- --trace-update "$f3_addr")"
+trace_out="$(timeout "$smoke_limit" cargo run -q --example serve -- --trace-update "$f3_addr")"
 kill "$f3_pid" "$f2_pid" "$leader_pid" 2>/dev/null || true
 wait "$f3_pid" "$f2_pid" "$leader_pid" 2>/dev/null || true
 rm -f "$leader_out" "$f2_out" "$f3_out"
@@ -190,7 +197,7 @@ grep -q "repl.apply @ $f3_addr" <<< "$trace_out"
 # asserted.
 for workload in durable_write replicated_mem many_sessions; do
     echo "==> perfbench --workload $workload --seconds 2 (correctness smoke)"
-    result="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    result="$(timeout "$smoke_limit" cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     if ! grep -q '"correct": true' <<< "$result" || ! grep -q '"failed": 0,' <<< "$result"; then
         echo "perfbench $workload did not check out: $result"
@@ -203,7 +210,7 @@ done
 # pool edits that re-check every verified mask, and the
 # `session.cache.*` counter deltas.  Same correctness check.
 echo "==> perfbench --workload many_sessions --seconds 2 --trace 1 (traced correctness smoke)"
-result="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+result="$(timeout "$smoke_limit" cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload many_sessions --seed 1 --seconds 2 --trace 1 | tail -n 1)"
 if ! grep -q '"correct": true' <<< "$result" || ! grep -q '"failed": 0,' <<< "$result"; then
     echo "perfbench many_sessions --trace 1 did not check out: $result"
