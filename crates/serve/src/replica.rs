@@ -1,5 +1,5 @@
 //! Fault-tolerant read replicas: WAL shipping from a leader
-//! [`Server`](crate::Server) to follower processes.
+//! [`Server`] to follower processes.
 //!
 //! A [`Replica`] owns a complete follower: it first **syncs** every
 //! durable session against the leader (connecting, sending `Replicate`

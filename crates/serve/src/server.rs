@@ -14,83 +14,75 @@
 //! request to the queue of the shard that owns its session —
 //! `shard_of(session) % N`, the stable hash partition from
 //! `compview-session`.  Each of the N dispatcher threads owns one
-//! [`Service`] partition; each time it wakes it drains *its whole queue*
-//! as one batch, runs [`Service::dispatch`] on its own thread (each
-//! touched session serves its queue in turn, and each touched log is
-//! group-committed with a single fsync), drains the delta events the
-//! batch committed, and hands both to the per-connection **writer**.
-//! Shards are the parallelism: no batch fans out further.  Sessions
-//! never move between shards, so per-session WAL bytes and responses
-//! are byte-identical to a single-dispatcher server — only the
-//! parallelism changes.
+//! `Shard`: a [`Service`] partition plus where its streams' frames go.
+//! The thread only waits, takes its *whole queue* and hands it to
+//! `Shard::step`, which holds no thread, queue or socket of its own and
+//! runs every drain by one rule:
 //!
-//! Requests move in bursts at every hop, not one by one.  The reader
-//! takes in whatever the socket holds through a fixed 16-KiB buffer,
-//! parses every whole frame out of memory into one run per shard, and
-//! hands each run to its shard under one lock with one wake-up
-//! (`serve.frames_in` ÷ `serve.enqueue_runs` is the mean run).  Runs
-//! are handed over before any read that may block, before a node-wide
-//! barrier and before the connection is dropped, so each shard's queue
-//! holds a connection's requests in arrival order.  A dispatcher hands
-//! each connection its batch's responses as one run: one connection
-//! lookup, one lock and one writer wake-up.  The writer, each time it
-//! wakes, takes every frame queued for the wire under one lock (up to
-//! the 64-KiB `WRITE_BURST` ceiling; a single larger frame goes
-//! alone), encodes them into one reused buffer, and hands them to the
-//! kernel in one write.  The bytes on the wire are exactly those of one
-//! write per frame; `serve.frames_out` ÷ `serve.write_calls` is the
-//! mean burst.
+//! 1. *Before the batch*, in queue order: what sets up what the batch
+//!    uses — adoptions, retargets and `Replicate`s.
+//! 2. *The batch*: leader shipments, then every dispatch of the drain
+//!    through [`Service::dispatch`] on the shard's own thread (each
+//!    touched log group-committed with one fsync), under the shard's
+//!    snapshot gate; then the delta events it committed.
+//! 3. *After the batch*: parked `ReadAt`s, then, in queue order, what
+//!    observes the batch — connection cancels, barriers, promotions.
+//!
+//! Every response a step produces joins its connection's run, and each
+//! run goes to the connection's **writer** once, at the end of the step:
+//! one lookup, one lock and one wake-up.  Sessions never move between
+//! shards, so per-session WAL bytes and responses are byte-identical to
+//! a single-dispatcher server — only the parallelism changes.
+//!
+//! Requests move in bursts at every hop.  The reader takes in whatever
+//! the socket holds through a fixed 16-KiB buffer, parses every whole
+//! frame into one run per shard, and hands each run over under one lock
+//! with one wake-up (`serve.frames_in` ÷ `serve.enqueue_runs` is the
+//! mean run) — before any read that may block, before a node-wide
+//! barrier and before the connection is dropped, so each queue holds a
+//! connection's requests in arrival order and its cancel last.  The
+//! writer takes every frame queued for the wire under one lock (up to
+//! the 64-KiB `WRITE_BURST` ceiling; a larger frame goes alone) and
+//! writes them with one call; `serve.frames_out` ÷ `serve.write_calls`
+//! is the mean burst.
 //!
 //! # Ordering
 //!
-//! Within one connection, responses go out in request order even though
-//! different requests may be answered by different shards: the reader
-//! stamps every request with a per-connection sequence number, and the
-//! writer's reorder buffer holds each finished response until all
-//! lower-numbered ones have been queued.  The writer drains that queue
-//! front to back into each write, so coalescing never reorders frames.
-//! Across connections no order is promised (none exists to preserve).
+//! Within one connection, responses go out in request order even when
+//! different shards answer them: the reader stamps every request with a
+//! per-connection sequence number, and the writer's reorder buffer holds
+//! each finished response until all lower-numbered ones are queued.
+//! Across connections no order is promised.
 //!
-//! Delta-event frames are unsolicited and carry no sequence number;
-//! their ordering contract is per subscription: every event goes out
-//! **after** the `Subscribed` response that opened the stream, in
-//! session-commit order with consecutive event sequences, and **never
-//! after** the `Unsubscribed` response or a terminal event.  Two rules
-//! enforce this.  First, a dispatcher delivers a batch's events *before*
-//! the batch's responses — any event it drained was committed by a
-//! request dispatched no later than an `Unsubscribe` answered in the
-//! same batch.  Second, events for a subscription whose `Subscribed`
-//! response is still waiting in the reorder buffer are **parked**, and
-//! released the moment that response is queued to the wire — so a
-//! subscribe pipelined with the updates that follow it still yields a
-//! well-formed stream.
+//! Delta-event frames are unsolicited; their contract is per
+//! subscription: every event goes out **after** the `Subscribed`
+//! response that opened the stream, in commit order with consecutive
+//! sequences, and **never after** the `Unsubscribed` response or a
+//! terminal event.  A step delivers its events before its responses,
+//! learning a batch's new routes before the events and unlearning closed
+//! ones after them; and events of a stream whose opening response still
+//! waits in the reorder buffer are **parked** until it is queued.
 //!
 //! # Slow consumers
 //!
-//! Each connection has one writer thread; a peer that stops reading
-//! blocks its writer on the socket, never a dispatcher.  Undelivered
-//! event frames queue per subscription up to
-//! [`ServeOptions::event_outbox_cap`] — a frame stays counted until the
-//! write carrying it has returned; one past the cap, the server ends
-//! the stream — the overflowing event is replaced by a cap-exempt
-//! `Terminated(SlowConsumer)` event queued behind the frames already
-//! owed, so the delivered prefix stays gapless — and the subscription is
-//! removed from the session (`serve.sub.slow_drops` counts these).  Responses are never dropped — a client that pipelines
-//! requests and reads nothing owes the transport that memory; the cap
-//! bounds only the unsolicited stream.
+//! A peer that stops reading blocks its own writer, never a dispatcher.
+//! Undelivered event frames queue per subscription up to
+//! [`ServeOptions::event_outbox_cap`], each counted until the write
+//! carrying it has returned; one past the cap, the overflowing event is
+//! replaced by a cap-exempt `Terminated(SlowConsumer)` behind the frames
+//! already owed, and the subscription is dropped at the session
+//! (`serve.sub.slow_drops`).  Responses are never dropped: the cap bounds
+//! only the unsolicited stream.
 //!
 //! # Barriers across shards
 //!
 //! `Metrics`, `Sessions`, `Trace` and `Topology` answer for the whole
-//! node, so each is one **barrier** ([`Item::Barrier`]): the reader
-//! enqueues it on every shard, each dispatcher passes it only after
-//! applying the requests it drained alongside it, adding its partition's
-//! durable `(session, gen, last_seq)` rows, and the last dispatcher
-//! through builds the verb's reply.  A `Metrics` reply merges one
+//! node, so each is one **barrier** on every shard queue.  A shard passes
+//! it after its drain's batch, adding its durable `(session, gen,
+//! last_seq)` rows and live subscription routes to a shared tally, and
+//! the last shard through builds the reply: a `Metrics` reply merges one
 //! snapshot per shard registry ([`MetricsSnapshot::merged`]), each taken
-//! under that shard's snapshot gate, so it always lands on a batch
-//! boundary, never mid-batch; a `Trace` reply drains and merges every
-//! shard's span buffer; `Sessions` and `Topology` answer from the rows.
+//! under that shard's snapshot gate so it lands on a batch boundary.
 //! Any of the four pipelined behind N requests on one connection
 //! therefore observes all N.
 
@@ -103,7 +95,9 @@ use crate::proto::{
     WireRequest, FRAME_HEADER, READ_BUFFER, WRITE_BURST,
 };
 use compview_core::ComponentFamily;
-use compview_obs::{Counter, Gauge, MetricsSnapshot, Registry, TraceCtx, TraceSnapshot};
+use compview_obs::{
+    Counter, DistTracer, Gauge, MetricsSnapshot, Registry, TraceCtx, TraceSnapshot,
+};
 use compview_session::{
     shard_of, ApplyError, CatchupPlan, DeltaEvent, DeltaKind, DispatchError, Service, Session,
     SessionRequest, SessionResponse, TerminateReason, WalShipment,
@@ -112,7 +106,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -214,60 +208,45 @@ pub(crate) struct ApplyReport {
 /// One durable session's WAL position: `(name, gen, last_seq)`.
 type Row = (String, u64, u64);
 
-/// The node-wide verb an [`Item::Barrier`] answers.
-#[derive(Clone, Copy)]
-enum Verb {
-    Metrics,
-    Sessions,
-    Trace,
-    Topology,
+/// What the shards of one barrier gather for its reply: how many have
+/// yet to pass, every durable session's WAL position, and the live
+/// subscription routes.
+#[derive(Default)]
+struct Tally {
+    left: usize,
+    rows: Vec<Row>,
+    subscribers: u64,
 }
 
-/// A parked session adoption: the name, the boxed `Session<F>` in
-/// transit to its shard, and the channel the outcome is acked on.
-type AdoptSlot = (
-    String,
-    Box<dyn Any + Send>,
-    mpsc::Sender<Result<(), String>>,
-);
+/// Builds a node-wide verb's reply from the finished [`Tally`]: one per
+/// verb, picked by [`route`].
+type Reply = fn(&Shared, Tally) -> Vec<u8>;
 
 /// One item on a shard's queue.
 enum Item {
-    /// A request bound for this shard's service partition.  `trace` is
-    /// the wire trace context plus the enqueue instant, carried only by
-    /// [`WireRequest::DispatchTraced`] — the dispatcher turns the queue
-    /// wait into a "shard.queue" span and threads the child context into
-    /// the session.
-    Dispatch {
+    /// A decoded request that names a session, on the queue of the shard
+    /// that owns the session; [`route`] turns a node-wide verb into a
+    /// barrier instead.  `at` is the decode instant, stamped only where a
+    /// span or a wait budget is timed from it: on a traced request and a
+    /// `ReadAt`.
+    Request {
         conn: u64,
         seq: u64,
-        session: String,
-        req: SessionRequest,
-        trace: Option<(TraceCtx, Instant)>,
+        req: WireRequest,
+        at: Option<Instant>,
     },
-    /// A node-wide verb (enqueued on *every* shard): each dispatcher adds
-    /// its partition's durable positions to `rows` after applying what
-    /// it drained alongside, and whoever decrements `left` to zero
-    /// answers `verb` for the whole node.
+    /// A node-wide verb (enqueued on *every* shard): each shard adds its
+    /// partition to the tally after the batch it drained alongside, and
+    /// whoever counts it down to zero answers with `reply`.
     Barrier {
         conn: u64,
         seq: u64,
-        verb: Verb,
-        left: Arc<AtomicUsize>,
-        rows: Arc<Mutex<Vec<Row>>>,
+        reply: Reply,
+        tally: Arc<Mutex<Tally>>,
     },
-    /// A connection died (enqueued on *every* shard): drop its
-    /// subscriptions from the sessions so they stop publishing.
+    /// A connection died (enqueued on *every* shard, behind everything it
+    /// sent): end its subscriptions and replication streams.
     Cancel { conn: u64 },
-    /// A follower asks to tail `session`'s WAL: answer with an ack, ship
-    /// the catch-up, keep shipping live writes until the stream dies.
-    Replicate {
-        conn: u64,
-        seq: u64,
-        session: String,
-        from_seq: u64,
-        gen: u64,
-    },
     /// (Follower side) apply this shard's share of a batch of leader
     /// shipments, in order, stopping at the first refused one; the
     /// reports go back to the replica's tail loop in one vector.
@@ -289,19 +268,6 @@ enum Item {
         name: String,
         session: Box<dyn Any + Send>,
         done: mpsc::Sender<Result<(), String>>,
-    },
-    /// A read-your-writes read: answer `Read { view }` on `session` once
-    /// its WAL position reaches `(gen, min_seq)`, or refuse with a typed
-    /// `Lagging` error when `deadline` passes first.  Waiting happens in
-    /// dispatcher-local state — the queue is never blocked.
-    ReadAt {
-        conn: u64,
-        seq: u64,
-        session: String,
-        view: String,
-        gen: u64,
-        min_seq: u64,
-        deadline: Instant,
     },
     /// (Follower side) repoint this shard's read-only sessions'
     /// `NotLeader { leader_addr }` target at a new root leader (enqueued
@@ -413,17 +379,45 @@ fn enqueue_runs(shared: &Shared, runs: &mut [Vec<Item>]) {
     }
 }
 
-/// Open an [`Item::Barrier`] answering `verb` on every shard.
-fn barrier(shared: &Shared, conn: u64, seq: u64, verb: Verb) {
-    let left = Arc::new(AtomicUsize::new(shared.shards.len()));
-    let rows = Arc::new(Mutex::new(Vec::new()));
+/// Route request `seq` of connection `conn`, in order behind everything
+/// the connection sent before it.  A request that names a session joins
+/// the run of the shard that owns the session ([`shard_of`]).  A
+/// node-wide verb is a barrier on every shard: the runs are handed over
+/// first, so the barrier follows them on every queue.
+fn route(shared: &Shared, runs: &mut [Vec<Item>], conn: u64, seq: u64, req: WireRequest) {
+    let reply: Reply = match &req {
+        WireRequest::Dispatch(session, _)
+        | WireRequest::DispatchTraced { session, .. }
+        | WireRequest::Replicate { session, .. }
+        | WireRequest::ReadAt { session, .. } => {
+            let shard = shard_of(session, runs.len());
+            // A traced request's queue wait and a `ReadAt`'s wait budget
+            // are timed from decode.
+            let at = matches!(
+                req,
+                WireRequest::DispatchTraced { .. } | WireRequest::ReadAt { .. }
+            )
+            .then(Instant::now);
+            runs[shard].push(Item::Request { conn, seq, req, at });
+            return;
+        }
+        WireRequest::Metrics => metrics_reply,
+        WireRequest::Sessions => sessions_reply,
+        WireRequest::Trace => trace_reply,
+        WireRequest::Topology => topology_reply,
+    };
+    enqueue_runs(shared, runs);
+    let tally = Arc::new(Mutex::new(Tally {
+        left: shared.shards.len(),
+        ..Tally::default()
+    }));
     broadcast(shared, || Item::Barrier {
         conn,
         seq,
-        verb,
-        left: Arc::clone(&left),
-        rows: Arc::clone(&rows),
+        reply,
+        tally: Arc::clone(&tally),
     });
+    shared.obs.enqueue_runs.inc();
 }
 
 /// Apply a run of leader shipments to `service` in order, stopping at
@@ -485,17 +479,29 @@ enum RouteChange {
 /// sequence number, payload and route change.
 type Response = (u64, Vec<u8>, Option<RouteChange>);
 
+/// Finished responses per connection, gathered over one shard step and
+/// handed to each connection's writer as one run.
+type Runs = BTreeMap<u64, Vec<Response>>;
+
+/// Add one finished response to its connection's run.
+fn answer(out: &mut Runs, conn: u64, seq: u64, payload: Vec<u8>, change: Option<RouteChange>) {
+    out.entry(conn).or_default().push((seq, payload, change));
+}
+
+/// A frame on its way to the wire, tagged with the stream whose outbox
+/// budget it occupies (unsolicited event / WAL frames only).
+type Outgoing = (Vec<u8>, Option<StreamKey>);
+
 /// The outbound half of one connection, owned by its writer thread and
 /// fed by dispatchers.
+#[derive(Default)]
 struct OutState {
     /// The sequence number the wire expects next.
     next_seq: u64,
     /// Finished responses waiting for their turn, keyed by sequence.
     pending: BTreeMap<u64, (Vec<u8>, Option<RouteChange>)>,
-    /// Frames in final wire order, waiting for the writer thread.  The
-    /// tag is the stream whose outbox budget the frame occupies
-    /// (unsolicited event / WAL frames only).
-    ready: VecDeque<(Vec<u8>, Option<StreamKey>)>,
+    /// Frames in final wire order, waiting for the writer thread.
+    ready: VecDeque<Outgoing>,
     /// Streams whose opening response has been queued; their frames go
     /// straight to `ready`.
     active: BTreeSet<StreamKey>,
@@ -512,6 +518,36 @@ struct OutState {
     /// Set on connection death and server shutdown; the writer exits,
     /// producers stop queueing.
     closed: bool,
+}
+
+impl OutState {
+    /// Move the next burst into `frames`: every frame in `ready`, front
+    /// to back, up to [`WRITE_BURST`] bytes in all; a frame that alone
+    /// exceeds the ceiling still goes, alone.
+    fn take_burst(&mut self, frames: &mut Vec<Outgoing>) {
+        let mut bytes = 0;
+        while let Some((payload, _)) = self.ready.front() {
+            let len = FRAME_HEADER + payload.len();
+            if !frames.is_empty() && bytes + len > WRITE_BURST {
+                break;
+            }
+            bytes += len;
+            frames.extend(self.ready.pop_front());
+        }
+    }
+
+    /// Release the outbox budgets of `frames`, whose write has returned.
+    fn settle(&mut self, frames: impl IntoIterator<Item = Outgoing>) {
+        for (_, budget) in frames {
+            let Some(key) = budget else { continue };
+            if let Some(n) = self.queued.get_mut(&key) {
+                *n -= 1;
+                if *n == 0 {
+                    self.queued.remove(&key);
+                }
+            }
+        }
+    }
 }
 
 /// A connection's outbound mailbox plus the handle other threads use to
@@ -606,27 +642,6 @@ fn wall_clock_ns() -> u64 {
         .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
 }
 
-/// Count one more live replication stream against `conn`.
-fn repl_conn_add(shared: &Shared, conn: u64) {
-    *shared
-        .repl_conns
-        .lock()
-        .expect("repl conns")
-        .entry(conn)
-        .or_insert(0) += 1;
-}
-
-/// Release one replication stream's claim on `conn`.
-fn repl_conn_remove(shared: &Shared, conn: u64) {
-    let mut conns = shared.repl_conns.lock().expect("repl conns");
-    if let Some(n) = conns.get_mut(&conn) {
-        *n -= 1;
-        if *n == 0 {
-            conns.remove(&conn);
-        }
-    }
-}
-
 /// A running server: call [`Server::shutdown`] to stop it and take the
 /// [`Service`] (with every session's final state) back.
 pub struct Server<F: ComponentFamily + Send + Sync + 'static> {
@@ -717,7 +732,7 @@ impl<F: ComponentFamily + Send + Sync + 'static> Server<F> {
             .map(|(shard, part)| {
                 let shared = Arc::clone(&shared);
                 spawn_named(format!("cv-shard-{shard}"), move || {
-                    dispatch_loop(shard, part, &shared)
+                    dispatch_loop(Shard::new(shard, part), &shared)
                 })
             })
             .collect();
@@ -910,16 +925,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         next_conn += 1;
         shared.obs.connections.inc();
         let slot = Arc::new(ConnSlot {
-            state: Mutex::new(OutState {
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                ready: VecDeque::new(),
-                active: BTreeSet::new(),
-                parked: BTreeMap::new(),
-                dead: BTreeSet::new(),
-                queued: BTreeMap::new(),
-                closed: false,
-            }),
+            state: Mutex::new(OutState::default()),
             wake: Condvar::new(),
             stream: control,
         });
@@ -965,7 +971,6 @@ pub(crate) fn spawn_named<T: Send + 'static>(
 }
 
 fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
-    let n_shards = shared.shards.len();
     // Pipelined requests arrive in bursts: one `read` takes in every
     // whole frame of a burst, and the frames are parsed out of memory.
     let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
@@ -974,7 +979,7 @@ fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
     // are handed over before anything that could reorder them against
     // this connection's later items: a read that may block, a barrier,
     // the connection's end.
-    let mut runs: Vec<Vec<Item>> = (0..n_shards).map(|_| Vec::new()).collect();
+    let mut runs: Vec<Vec<Item>> = shared.shards.iter().map(|_| Vec::new()).collect();
     loop {
         // A connection accepted behind the shutdown's close sweep is
         // closed here, or its writer would wait forever.
@@ -1025,79 +1030,7 @@ fn read_loop(conn: u64, stream: TcpStream, shared: &Arc<Shared>) {
             }
         };
         shared.obs.frames_in.inc();
-        let routed = match wire {
-            WireRequest::Dispatch(session, req) => Ok((
-                shard_of(&session, n_shards),
-                Item::Dispatch {
-                    conn,
-                    seq,
-                    session,
-                    req,
-                    trace: None,
-                },
-            )),
-            // The queue wait is timed from decode, so it includes the
-            // time the request waits in its run.
-            WireRequest::DispatchTraced { session, req, ctx } => Ok((
-                shard_of(&session, n_shards),
-                Item::Dispatch {
-                    conn,
-                    seq,
-                    session,
-                    req,
-                    trace: Some((ctx, Instant::now())),
-                },
-            )),
-            WireRequest::Replicate {
-                session,
-                from_seq,
-                gen,
-            } => Ok((
-                shard_of(&session, n_shards),
-                Item::Replicate {
-                    conn,
-                    seq,
-                    session,
-                    from_seq,
-                    gen,
-                },
-            )),
-            WireRequest::ReadAt {
-                session,
-                view,
-                gen,
-                min_seq,
-                wait_ms,
-            } => Ok((
-                shard_of(&session, n_shards),
-                Item::ReadAt {
-                    conn,
-                    seq,
-                    session,
-                    view,
-                    gen,
-                    min_seq,
-                    // Clamped so a hostile wait cannot overflow `Instant`
-                    // arithmetic.
-                    deadline: Instant::now() + Duration::from_millis(wait_ms.min(86_400_000)),
-                },
-            )),
-            WireRequest::Metrics => Err(Verb::Metrics),
-            WireRequest::Sessions => Err(Verb::Sessions),
-            WireRequest::Trace => Err(Verb::Trace),
-            WireRequest::Topology => Err(Verb::Topology),
-        };
-        match routed {
-            Ok((shard, item)) => runs[shard].push(item),
-            // A node-wide verb is a barrier across every shard, behind
-            // everything this connection sent before it; the countdown
-            // picks the answerer.
-            Err(verb) => {
-                enqueue_runs(shared, &mut runs);
-                barrier(shared, conn, seq, verb);
-                shared.obs.enqueue_runs.inc();
-            }
-        }
+        route(shared, &mut runs, conn, seq, wire);
         seq += 1;
     }
     // What was decoded before the end still runs, ahead of the
@@ -1142,7 +1075,7 @@ fn drop_connection(conn: u64, shared: &Shared) {
 /// blocks this thread only — dispatchers and readers never wait on a
 /// peer.
 fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &Arc<Shared>) {
-    let mut frames: Vec<(Vec<u8>, Option<StreamKey>)> = Vec::new();
+    let mut frames: Vec<Outgoing> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     loop {
         {
@@ -1175,17 +1108,7 @@ fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &A
                     None => st = slot.wake.wait(st).expect("out state"),
                 }
             }
-            // Take the burst; a frame that alone exceeds the ceiling
-            // still goes, alone.
-            let mut bytes = 0;
-            while let Some((payload, _)) = st.ready.front() {
-                let len = FRAME_HEADER + payload.len();
-                if !frames.is_empty() && bytes + len > WRITE_BURST {
-                    break;
-                }
-                bytes += len;
-                frames.extend(st.ready.pop_front());
-            }
+            st.take_burst(&mut frames);
         }
         // An over-limit payload cannot be framed: write what precedes
         // it, then drop the connection as a failed write would.
@@ -1201,15 +1124,7 @@ fn write_loop(conn: u64, mut stream: TcpStream, slot: &Arc<ConnSlot>, shared: &A
         buf.clear();
         buf.shrink_to(WRITE_BURST);
         let mut st = slot.state.lock().expect("out state");
-        for (_, budget) in frames.drain(..) {
-            let Some(key) = budget else { continue };
-            if let Some(n) = st.queued.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    st.queued.remove(&key);
-                }
-            }
-        }
+        st.settle(frames.drain(..));
         if sent {
             shared.obs.frames_out.add(written as u64);
             shared.obs.write_calls.inc();
@@ -1289,17 +1204,6 @@ fn deliver_responses(shared: &Shared, conn: u64, run: impl IntoIterator<Item = R
     if queued_any {
         slot.wake.notify_one();
     }
-}
-
-/// [`deliver_responses`] for a run of one.
-fn deliver_response(
-    shared: &Shared,
-    conn: u64,
-    seq: u64,
-    payload: Vec<u8>,
-    change: Option<RouteChange>,
-) {
-    deliver_responses(shared, conn, [(seq, payload, change)]);
 }
 
 /// What became of one frame handed to a stream.
@@ -1419,37 +1323,10 @@ fn ship_frames(
     })
 }
 
-/// Forget one replication stream target: release its idle-timeout
-/// exemption, and turn the session's shipment tap off when nobody is
-/// listening any more.
-fn remove_repl_target<F: ComponentFamily + Send + Sync>(
-    repl_routes: &mut BTreeMap<String, Vec<(u64, StreamKey)>>,
-    service: &mut Service<F>,
-    shared: &Shared,
-    session: &str,
-    conn: u64,
-    key: &StreamKey,
-) {
-    let Some(targets) = repl_routes.get_mut(session) else {
-        return;
-    };
-    let before = targets.len();
-    targets.retain(|(c, k)| !(*c == conn && k == key));
-    if targets.len() < before {
-        repl_conn_remove(shared, conn);
-        shared.obs.repl_streams_closed.inc();
-    }
-    if targets.is_empty() {
-        repl_routes.remove(session);
-        if let Some(s) = service.session_mut(session) {
-            s.set_repl_tap(false);
-        }
-    }
-}
-
-/// One read-your-writes wait parked at a dispatcher (see
-/// [`Item::ReadAt`]): re-evaluated after every drain, expired by a timed
-/// queue wait when the shard goes idle.
+/// One read-your-writes wait parked at a shard: answer `Read { view }` on
+/// `session` once its WAL position reaches `(gen, min_seq)`, or refuse
+/// with a typed `Lagging` error when `deadline` passes first.  Waiting
+/// happens in shard-local state — the queue is never blocked.
 struct WaitingRead {
     conn: u64,
     seq: u64,
@@ -1460,34 +1337,76 @@ struct WaitingRead {
     deadline: Instant,
 }
 
+/// One drain's batch: leader shipments to apply (follower side), and
+/// requests to dispatch with the connection and sequence number each
+/// answer goes to.  A subscription request keeps its session name too,
+/// to key the route its answer opens or closes.
+#[derive(Default)]
+struct Batch {
+    applies: Vec<(ApplyBatch, mpsc::Sender<Vec<ApplyReport>>)>,
+    requests: Vec<(String, SessionRequest, Option<TraceCtx>)>,
+    slots: Vec<(u64, u64, Option<String>)>,
+}
+
+impl Batch {
+    fn push(
+        &mut self,
+        conn: u64,
+        seq: u64,
+        session: String,
+        req: SessionRequest,
+        ctx: Option<TraceCtx>,
+    ) {
+        let streams = matches!(
+            req,
+            SessionRequest::Subscribe { .. } | SessionRequest::Unsubscribe { .. }
+        );
+        self.slots
+            .push((conn, seq, streams.then(|| session.clone())));
+        self.requests.push((session, req, ctx));
+    }
+}
+
+/// One dispatcher shard without its thread: the service partition, where
+/// each of its streams' frames go, and the read-your-writes waits parked
+/// on it.  It owns no queue and no socket — [`Shard::step`] runs one
+/// drain of its queue against [`Shared`], and [`dispatch_loop`] is the
+/// thread that waits, takes the queue and steps.
+struct Shard<F: ComponentFamily + Send + Sync> {
+    /// Which of [`Shared::shards`] (and of the snapshot gates) is ours.
+    index: usize,
+    service: Service<F>,
+    /// This shard's distributed-span sink (configured with the serving
+    /// address at bind); requests without a sampled trace context cost
+    /// one `None` check here and nothing else.
+    dtracer: DistTracer,
+    /// Where each live subscription's events go.  Complete for this
+    /// shard: a session lives on exactly one shard, so its `Subscribe`s
+    /// were all answered here.
+    routes: BTreeMap<StreamKey, u64>,
+    /// Live replication streams per session of this shard's partition:
+    /// which connections tail it, under which stream key.  A session's
+    /// shipment tap is on exactly while it has an entry here.
+    repl_routes: BTreeMap<String, Vec<(u64, StreamKey)>>,
+    /// Read-your-writes waits parked at this shard.
+    waiting: Vec<WaitingRead>,
+}
+
+/// A dispatcher thread: wait for work, take the whole queue, step.  Only
+/// this shell waits on the condvar or reads `stop`.  With read-your-writes
+/// waits parked, it sleeps only until the nearest deadline, so an idle
+/// shard still turns expiry into a typed `Lagging` answer.  It returns
+/// the service once `stop` is set and the queue is empty.
 fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
-    shard: usize,
-    mut service: Service<F>,
+    mut shard: Shard<F>,
     shared: &Shared,
 ) -> Service<F> {
-    // This shard's distributed-span sink (configured with the serving
-    // address at bind); requests without a sampled trace context cost
-    // one `None` check here and nothing else.
-    let dtracer = shared.registries[shard].dtracer();
-    // Where each live subscription's events go.  Complete for this
-    // shard: a session lives on exactly one shard, so its `Subscribe`s
-    // were all answered here.
-    let mut routes: BTreeMap<StreamKey, u64> = BTreeMap::new();
-    // Live replication streams per session of this shard's partition:
-    // which connections tail it, under which stream key.  A session's
-    // shipment tap is on exactly while it has an entry here.
-    let mut repl_routes: BTreeMap<String, Vec<(u64, StreamKey)>> = BTreeMap::new();
-    // Read-your-writes waits parked at this shard.
-    let mut waiting_reads: Vec<WaitingRead> = Vec::new();
+    let sq = &shared.shards[shard.index];
     loop {
-        let drained: Vec<Item> = {
-            let sq = &shared.shards[shard];
+        let items: Vec<Item> = {
             let mut q = sq.queue.lock().expect("queue");
             while q.is_empty() && !shared.stop.load(Ordering::SeqCst) {
-                // With read-your-writes waits parked here, sleep only
-                // until the nearest deadline so an idle shard still
-                // turns expiry into a typed `Lagging` answer.
-                let Some(next) = waiting_reads.iter().map(|w| w.deadline).min() else {
+                let Some(next) = shard.next_deadline() else {
                     q = sq.wake.wait(q).expect("queue");
                     continue;
                 };
@@ -1498,519 +1417,600 @@ fn dispatch_loop<F: ComponentFamily + Send + Sync + 'static>(
                 q = sq.wake.wait_timeout(q, dur).expect("queue").0;
             }
             if q.is_empty() && shared.stop.load(Ordering::SeqCst) {
-                // Drained and done.
-                return service;
+                return shard.service;
             }
             q.drain(..).collect()
         };
-        // Split the drain into the dispatchable batch, the barriers, and
-        // connection cancellations, remembering where each answer goes.
-        let mut batch: Vec<(String, SessionRequest, Option<TraceCtx>)> = Vec::new();
-        let mut slots: Vec<(u64, u64, usize)> = Vec::new();
-        let mut barriers = Vec::new();
-        let mut cancels: Vec<u64> = Vec::new();
-        let mut replicates: Vec<(u64, u64, String, u64, u64)> = Vec::new();
-        let mut applies: Vec<(ApplyBatch, mpsc::Sender<Vec<ApplyReport>>)> = Vec::new();
-        let mut promotes: Vec<mpsc::Sender<Result<(), String>>> = Vec::new();
-        let mut adopts: Vec<AdoptSlot> = Vec::new();
-        let mut retargets: Vec<String> = Vec::new();
-        for item in drained {
+        shard.step(shared, items, Instant::now());
+    }
+}
+
+impl<F: ComponentFamily + Send + Sync + 'static> Shard<F> {
+    fn new(index: usize, service: Service<F>) -> Shard<F> {
+        Shard {
+            index,
+            dtracer: service.registry().dtracer(),
+            service,
+            routes: BTreeMap::new(),
+            repl_routes: BTreeMap::new(),
+            waiting: Vec::new(),
+        }
+    }
+
+    /// When the nearest parked read-your-writes wait expires.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.waiting.iter().map(|w| w.deadline).min()
+    }
+
+    /// Run one drain of this shard's queue by the one drain rule:
+    ///
+    /// 1. **Before the batch**, in queue order, what sets up what the
+    ///    batch uses: adoptions, retargets and `Replicate`s.
+    /// 2. **The batch**: leader shipments, then dispatches, under the
+    ///    snapshot gate; then its events, its WAL shipments and its
+    ///    answers.
+    /// 3. **After the batch**: the parked `ReadAt`s, then, in queue order,
+    ///    what observes the batch: cancels, barriers and promotions.
+    ///
+    /// A connection's `Cancel` is the last item it queues, so it always
+    /// runs after everything the connection sent.  Every response of the
+    /// step joins its connection's run, and each run goes to its writer
+    /// in one hand-off at the end.  `now` is what parked `ReadAt`s expire
+    /// against.
+    fn step(&mut self, shared: &Shared, items: Vec<Item>, now: Instant) {
+        let mut out = Runs::new();
+        let mut batch = Batch::default();
+        let mut after = Vec::new();
+        for item in items {
             match item {
-                Item::Dispatch {
-                    conn,
-                    seq,
-                    session,
-                    req,
-                    trace,
-                } => {
-                    // The queue wait just ended: record it as a span
-                    // parented under the client's send span, and thread
-                    // the child context so the session's spans parent
-                    // under the wait.  An unsampled context records
-                    // nothing and dispatches exactly like `None`.
-                    let ctx = trace.and_then(|(ctx, at)| {
-                        let dur = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        let start = wall_clock_ns().saturating_sub(dur);
-                        match dtracer.record(ctx, "shard.queue", start, dur) {
-                            0 => None,
-                            span => Some(TraceCtx {
-                                trace_id: ctx.trace_id,
-                                parent_span: span,
-                            }),
-                        }
-                    });
-                    slots.push((conn, seq, batch.len()));
-                    batch.push((session, req, ctx));
-                }
-                Item::Barrier {
-                    conn,
-                    seq,
-                    verb,
-                    left,
-                    rows,
-                } => barriers.push((conn, seq, verb, left, rows)),
-                Item::Cancel { conn } => cancels.push(conn),
-                Item::Replicate {
-                    conn,
-                    seq,
-                    session,
-                    from_seq,
-                    gen,
-                } => replicates.push((conn, seq, session, from_seq, gen)),
-                Item::Apply { records, done } => applies.push((records, done)),
-                Item::Promote { done } => promotes.push(done),
                 Item::Adopt {
                     name,
                     session,
                     done,
-                } => adopts.push((name, session, done)),
-                Item::ReadAt {
+                } => {
+                    let _ = done.send(self.adopt(name, session));
+                }
+                Item::Retarget { leader } => self.retarget(&leader),
+                Item::Request {
                     conn,
                     seq,
-                    session,
-                    view,
-                    gen,
-                    min_seq,
-                    deadline,
-                } => waiting_reads.push(WaitingRead {
-                    conn,
-                    seq,
-                    session,
-                    view,
-                    gen,
-                    min_seq,
-                    deadline,
-                }),
-                Item::Retarget { leader } => retargets.push(leader),
-            }
-        }
-        // Adoptions land before anything else in this drain that might
-        // name the new session (a `Replicate`, a dispatch, a listing).
-        for (name, session, done) in adopts {
-            let result = match session.downcast::<Session<F>>() {
-                Ok(s) => service.add_session(name, *s).map_err(|e| e.to_string()),
-                Err(_) => Err("adopted session is not this service's family type".to_owned()),
-            };
-            let _ = done.send(result);
-        }
-        // Retargets repoint read-only sessions at the new root leader
-        // before this drain's dispatches run, so a `NotLeader` rejection
-        // never names an address already known to be stale.
-        for leader in retargets {
-            let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-            for name in names {
-                if let Some(s) = service.session_mut(&name) {
-                    if s.leader_addr().is_some() {
-                        s.set_read_only(Some(leader.clone()));
-                    }
-                }
-            }
-        }
-        // A dead connection's subscriptions stop publishing before the
-        // batch runs — nobody is listening.
-        for conn in cancels {
-            let gone: Vec<StreamKey> = routes
-                .iter()
-                .filter(|&(_, c)| *c == conn)
-                .map(|(k, _)| k.clone())
-                .collect();
-            for key in gone {
-                routes.remove(&key);
-                if let StreamKey::Sub(session, sub) = &key {
-                    if let Some(session) = service.session_mut(session) {
-                        session.drop_subscription(*sub);
-                    }
-                }
-            }
-            // …and its replication streams stop shipping.
-            let tailed: Vec<(String, StreamKey)> = repl_routes
-                .iter()
-                .flat_map(|(session, targets)| {
-                    targets
-                        .iter()
-                        .filter(|(c, _)| *c == conn)
-                        .map(|(_, k)| (session.clone(), k.clone()))
-                })
-                .collect();
-            for (session, key) in tailed {
-                remove_repl_target(&mut repl_routes, &mut service, shared, &session, conn, &key);
-            }
-        }
-        // Open replication streams before running the batch: the
-        // catch-up covers the log as it stands, and the tap (enabled
-        // here, under the single-owner dispatcher) captures everything
-        // the batch appends — no gap, no overlap.
-        for (conn, seq, session, from_seq, follower_gen) in replicates {
-            let plan = match service.session_mut(&session) {
-                None => Err(format!("unknown session {session:?}")),
-                Some(s) if !s.is_durable() => {
-                    Err(format!("session {session:?} keeps no write-ahead log"))
-                }
-                Some(s) => {
-                    s.set_repl_tap(true);
-                    s.replication_catchup(from_seq, follower_gen)
-                        .map_err(|e| e.to_string())
-                }
-            };
-            let (gen, record0, frames, start_seq) = match plan {
-                Err(detail) | Ok(CatchupPlan::Refused { detail }) => {
-                    if !repl_routes.contains_key(&session) {
-                        if let Some(s) = service.session_mut(&session) {
-                            s.set_repl_tap(false);
-                        }
-                    }
-                    let ack = ReplicateAck::Refused { detail };
-                    deliver_response(shared, conn, seq, encode_replicate_ack_payload(&ack), None);
-                    continue;
-                }
-                Ok(CatchupPlan::Tail { gen, frames }) => (gen, None, frames, from_seq),
-                Ok(CatchupPlan::Reset {
-                    gen,
-                    record0,
-                    frames,
-                }) => (gen, Some(record0), frames, 0),
-            };
-            let last_seq = service
-                .session_mut(&session)
-                .map_or(0, |s| s.wal_last_seq());
-            let key = StreamKey::Repl(session.clone(), seq);
-            repl_routes
-                .entry(session.clone())
-                .or_default()
-                .push((conn, key.clone()));
-            repl_conn_add(shared, conn);
-            shared.obs.repl_streams_opened.inc();
-            let ack = ReplicateAck::Streaming {
-                gen,
-                start_seq,
-                last_seq,
-            };
-            deliver_response(
-                shared,
-                conn,
-                seq,
-                encode_replicate_ack_payload(&ack),
-                Some(RouteChange::Activate(key.clone())),
-            );
-            // Catch-up frames park behind the ack and flush with it.
-            let reset = record0.map(|record0| {
-                encode_wal_frame_payload(&WalFrame::Reset {
-                    session: session.clone(),
-                    gen,
-                    record0,
-                })
-            });
-            let records = frames.into_iter().map(|bytes| {
-                encode_wal_frame_payload(&WalFrame::Record {
-                    session: session.clone(),
-                    gen,
-                    bytes,
-                    trace: None,
-                })
-            });
-            if !ship_frames(
-                shared,
-                conn,
-                &session,
-                &key,
-                reset.into_iter().chain(records),
-            ) {
-                remove_repl_target(&mut repl_routes, &mut service, shared, &session, conn, &key);
-            }
-        }
-        if !batch.is_empty() || !applies.is_empty() {
-            let sessions: Vec<String> = batch.iter().map(|(s, _, _)| s.clone()).collect();
-            // The snapshot gate brackets the batch and its event drain:
-            // a concurrent metrics probe snapshots this shard either
-            // before or after it, never mid-flight.
-            let (results, events) = {
-                let _gate = shared.snap_gates[shard].lock().expect("snap gate");
-                // (Follower side) leader shipments land first, in the
-                // tail loop's queue order — the leader's commit order.
-                // The reports go straight back so the tail loop can
-                // resume from the sessions' authoritative positions.
-                for (records, done) in applies {
-                    let _ = done.send(apply_batch(&mut service, records));
-                }
-                let results = if batch.is_empty() {
-                    Vec::new()
-                } else {
-                    service.dispatch_traced(batch)
-                };
-                let events = service.drain_events();
-                (results, events)
-            };
-            // Learn this batch's route *insertions* before touching any
-            // event, so events for just-opened subscriptions find their
-            // connection.  Removals wait until the events are out: an
-            // `Unsubscribe` in this batch closed its subscription at the
-            // session, so every drained event for it was committed by an
-            // *earlier* request — unlearning first would misroute those
-            // events into the void.
-            let mut changes: Vec<Option<RouteChange>> = Vec::with_capacity(slots.len());
-            let mut unlearned: Vec<StreamKey> = Vec::new();
-            for &(conn, _seq, i) in &slots {
-                changes.push(match &results[i] {
-                    Ok(SessionResponse::Subscribed { sub, .. }) => {
-                        let key = StreamKey::Sub(sessions[i].clone(), *sub);
-                        routes.insert(key.clone(), conn);
-                        Some(RouteChange::Activate(key))
-                    }
-                    Ok(SessionResponse::Unsubscribed { sub }) => {
-                        let key = StreamKey::Sub(sessions[i].clone(), *sub);
-                        unlearned.push(key.clone());
-                        Some(RouteChange::Deactivate(key))
-                    }
-                    _ => None,
-                });
-            }
-            // Events go out before responses: every event here was
-            // committed by a request in this batch, so it precedes — in
-            // stream terms — any `Unsubscribed` answered below, and the
-            // writer's parking keeps it behind its own `Subscribed`.
-            for (session, event) in events {
-                let key = StreamKey::Sub(session.clone(), event.sub);
-                let Some(&conn) = routes.get(&key) else {
-                    // No consumer (its connection died, or it was
-                    // slow-dropped moments ago): end the stream at the
-                    // session too.
-                    if let Some(s) = service.session_mut(&session) {
-                        s.drop_subscription(event.sub);
-                    }
-                    continue;
-                };
-                // A session-side termination (e.g. the view stopped being
-                // a component) ends the stream by itself.  An event that
-                // blows the outbox cap is replaced by a `SlowConsumer`
-                // terminal carrying its sequence, so the client sees
-                // exactly where the stream was cut.
-                let last = matches!(event.kind, DeltaKind::Terminated { .. });
-                let frame = encode_event_payload(&session, &event);
-                let slow = || {
-                    let notice = DeltaEvent {
-                        sub: event.sub,
-                        view: event.view.clone(),
-                        seq: event.seq,
-                        kind: DeltaKind::Terminated {
-                            reason: TerminateReason::SlowConsumer,
+                    req:
+                        WireRequest::Replicate {
+                            session,
+                            from_seq,
+                            gen,
                         },
-                    };
-                    encode_event_payload(&session, &notice)
-                };
-                let cap = shared.event_outbox_cap;
-                match deliver_stream_frame(shared, conn, &key, cap, frame, last, slow) {
-                    FrameOutcome::Delivered => {
-                        if last {
-                            routes.remove(&key);
-                        }
-                    }
-                    FrameOutcome::Gone | FrameOutcome::Overflow => {
-                        routes.remove(&key);
-                        if let Some(s) = service.session_mut(&session) {
-                            s.drop_subscription(event.sub);
-                        }
-                    }
+                    ..
+                } => {
+                    let (ack, change) = self.replicate(shared, conn, seq, session, from_seq, gen);
+                    answer(&mut out, conn, seq, ack, change);
                 }
-            }
-            for key in unlearned {
-                routes.remove(&key);
-            }
-            // Responses go out one run per connection.
-            let mut runs: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
-            for ((conn, seq, i), change) in slots.into_iter().zip(changes) {
-                let payload = encode_result_payload(&results[i]);
-                runs.entry(conn).or_default().push((seq, payload, change));
-            }
-            for (conn, run) in runs {
-                deliver_responses(shared, conn, run);
+                Item::Request {
+                    conn,
+                    seq,
+                    req: WireRequest::Dispatch(session, req),
+                    ..
+                } => batch.push(conn, seq, session, req, None),
+                Item::Request {
+                    conn,
+                    seq,
+                    req: WireRequest::DispatchTraced { session, req, ctx },
+                    at,
+                } => {
+                    let ctx = self.queue_span(ctx, at);
+                    batch.push(conn, seq, session, req, ctx);
+                }
+                Item::Apply { records, done } => batch.applies.push((records, done)),
+                Item::Request {
+                    conn,
+                    seq,
+                    req:
+                        WireRequest::ReadAt {
+                            session,
+                            view,
+                            gen,
+                            min_seq,
+                            wait_ms,
+                        },
+                    at,
+                } => self.waiting.push(WaitingRead {
+                    conn,
+                    seq,
+                    session,
+                    view,
+                    gen,
+                    min_seq,
+                    // Clamped so a hostile wait cannot overflow `Instant`
+                    // arithmetic.
+                    deadline: at.unwrap_or(now) + Duration::from_millis(wait_ms.min(86_400_000)),
+                }),
+                item => after.push(item),
             }
         }
-        // Ship what the batch appended (records, plus any checkpoint's
-        // reset image) to every live replication stream.  The tap only
-        // runs while `repl_routes` has the session, so this drain sees
-        // exactly the records committed since the stream's catch-up.
-        if !repl_routes.is_empty() {
-            let tapped: Vec<String> = repl_routes.keys().cloned().collect();
-            for session in tapped {
-                let Some(s) = service.session_mut(&session) else {
-                    continue;
-                };
-                let shipments = s.take_wal_shipments();
-                if shipments.is_empty() {
-                    continue;
-                }
-                let frames: Vec<Vec<u8>> = shipments
-                    .into_iter()
-                    .map(|sh| match sh {
-                        WalShipment::Record { gen, bytes, trace } => {
-                            // A traced shipment gets a "repl.ship"
-                            // instant under the producing append span,
-                            // and the shipped context re-parents the
-                            // follower's apply span under the shipment
-                            // (one instant per record, shared by every
-                            // downstream target).
-                            let trace = trace.map(|(trace_id, parent)| {
-                                let ctx = TraceCtx {
-                                    trace_id,
-                                    parent_span: parent,
-                                };
-                                match dtracer.instant(ctx, "repl.ship") {
-                                    0 => (trace_id, parent),
-                                    ship => (trace_id, ship),
-                                }
-                            });
-                            encode_wal_frame_payload(&WalFrame::Record {
-                                session: session.clone(),
-                                gen,
-                                bytes,
-                                trace,
-                            })
-                        }
-                        WalShipment::Reset { gen, record0 } => {
-                            encode_wal_frame_payload(&WalFrame::Reset {
-                                session: session.clone(),
-                                gen,
-                                record0,
-                            })
-                        }
-                    })
-                    .collect();
-                let targets: Vec<(u64, StreamKey)> =
-                    repl_routes.get(&session).cloned().unwrap_or_default();
-                for (conn, key) in targets {
-                    if !ship_frames(shared, conn, &session, &key, frames.iter().cloned()) {
-                        remove_repl_target(
-                            &mut repl_routes,
-                            &mut service,
-                            shared,
-                            &session,
-                            conn,
-                            &key,
-                        );
+        if !(batch.requests.is_empty() && batch.applies.is_empty()) {
+            self.run_batch(shared, batch, &mut out);
+        }
+        self.ship(shared);
+        self.answer_reads(shared, now, &mut out);
+        for item in after {
+            match item {
+                Item::Cancel { conn } => self.cancel(shared, conn),
+                Item::Barrier {
+                    conn,
+                    seq,
+                    reply,
+                    tally,
+                } => {
+                    if let Some(tally) = self.pass(&tally) {
+                        answer(&mut out, conn, seq, reply(shared, tally), None);
                     }
                 }
-            }
-        }
-        // Re-evaluate read-your-writes waits against the positions this
-        // drain's applies and batch just advanced; answer what is
-        // satisfied, refuse (typed) what expired, keep the rest parked.
-        if !waiting_reads.is_empty() {
-            let now = Instant::now();
-            let mut parked = Vec::new();
-            for w in waiting_reads.drain(..) {
-                let Some(pos) = service
-                    .session(&w.session)
-                    .map(|s| (s.wal_gen(), s.wal_last_seq()))
-                else {
-                    let err: Result<SessionResponse, DispatchError> =
-                        Err(DispatchError::UnknownSession(w.session.clone()));
-                    deliver_response(shared, w.conn, w.seq, encode_result_payload(&err), None);
-                    continue;
-                };
-                if pos.0 == w.gen && pos.1 >= w.min_seq {
-                    // Caught up: answer exactly as a plain `Read` would,
-                    // under the snapshot gate like any batch.
-                    let results = {
-                        let _gate = shared.snap_gates[shard].lock().expect("snap gate");
-                        service.dispatch(vec![(
-                            w.session.clone(),
-                            SessionRequest::Read { view: w.view },
-                        )])
-                    };
-                    deliver_response(
-                        shared,
-                        w.conn,
-                        w.seq,
-                        encode_result_payload(&results[0]),
-                        None,
-                    );
-                } else if now >= w.deadline {
-                    let err: Result<SessionResponse, DispatchError> = Err(DispatchError::Lagging {
-                        want_gen: w.gen,
-                        want_seq: w.min_seq,
-                        gen: pos.0,
-                        seq: pos.1,
-                    });
-                    deliver_response(shared, w.conn, w.seq, encode_result_payload(&err), None);
-                } else {
-                    parked.push(w);
+                Item::Promote { done } => {
+                    let _ = done.send(self.promote());
                 }
-            }
-            waiting_reads = parked;
-        }
-        // Barriers pass only after the batch drained alongside them has
-        // been applied: each shard adds its durable positions, so when
-        // the countdown hits zero every shard has applied everything
-        // enqueued before the barrier, and the last one through answers.
-        for (conn, seq, verb, left, rows) in barriers {
-            rows.lock()
-                .expect("barrier rows")
-                .extend(service.session_names().filter_map(|name| {
-                    let s = service.session(name).filter(|s| s.is_durable())?;
-                    Some((name.to_owned(), s.wal_gen(), s.wal_last_seq()))
-                }));
-            if left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let rows = std::mem::take(&mut *rows.lock().expect("barrier rows"));
-                deliver_response(shared, conn, seq, barrier_reply(shared, verb, rows), None);
+                // Everything else ran before or in the batch; `route`
+                // never queues a node-wide verb as a request.
+                _ => {}
             }
         }
-        // (Follower side) promotion barrier, dead last: every `Apply`
-        // drained alongside it has already landed, so fsync this
-        // partition's logs and flip its sessions writable.
-        for done in promotes {
-            let mut result: Result<(), String> = Ok(());
-            let names: Vec<String> = service.session_names().map(str::to_owned).collect();
-            for name in names {
-                let Some(s) = service.session_mut(&name) else {
-                    continue;
-                };
-                if let Err(e) = s.sync_wal() {
-                    result = Err(format!("{name}: {e}"));
-                    break;
-                }
-                s.set_read_only(None);
-            }
-            let _ = done.send(result);
+        for (conn, run) in out {
+            deliver_responses(shared, conn, run);
         }
     }
-}
 
-/// The reply to a barrier's `verb`, built by the last shard through from
-/// every shard's durable `rows`.
-fn barrier_reply(shared: &Shared, verb: Verb, mut rows: Vec<Row>) -> Vec<u8> {
-    rows.sort();
-    match verb {
-        Verb::Metrics => {
-            let parts: Vec<MetricsSnapshot> = shared
-                .snap_gates
-                .iter()
-                .zip(&shared.registries)
-                .map(|(gate, registry)| {
-                    let _gate = gate.lock().expect("snap gate");
-                    registry.snapshot()
+    /// Adopt a freshly opened session into this partition.
+    fn adopt(&mut self, name: String, session: Box<dyn Any + Send>) -> Result<(), String> {
+        match session.downcast::<Session<F>>() {
+            Ok(s) => self
+                .service
+                .add_session(name, *s)
+                .map_err(|e| e.to_string()),
+            Err(_) => Err("adopted session is not this service's family type".to_owned()),
+        }
+    }
+
+    /// Repoint read-only sessions at a new root leader, so a `NotLeader`
+    /// rejection never names an address already known to be stale.
+    fn retarget(&mut self, leader: &str) {
+        let names: Vec<String> = self.service.session_names().map(str::to_owned).collect();
+        for name in names {
+            if let Some(s) = self.service.session_mut(&name) {
+                if s.leader_addr().is_some() {
+                    s.set_read_only(Some(leader.to_owned()));
+                }
+            }
+        }
+    }
+
+    /// Record a traced request's queue wait, from decode to now, as a
+    /// "shard.queue" span under the client's send span, and return the
+    /// context the session's spans parent under.  An unsampled context
+    /// records nothing and dispatches exactly like `None`.
+    fn queue_span(&self, ctx: TraceCtx, at: Option<Instant>) -> Option<TraceCtx> {
+        let dur = at.map_or(0, |at| {
+            u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
+        let start = wall_clock_ns().saturating_sub(dur);
+        match self.dtracer.record(ctx, "shard.queue", start, dur) {
+            0 => None,
+            span => Some(TraceCtx {
+                trace_id: ctx.trace_id,
+                parent_span: span,
+            }),
+        }
+    }
+
+    /// Open a replication stream of `session` for `conn`, before the
+    /// batch: the catch-up covers the log as it stands, and the tap
+    /// (enabled here, by the partition's single owner) captures everything
+    /// the batch appends — no gap, no overlap.  Returns the ack and its
+    /// route change, for the step's runs; the catch-up frames park behind
+    /// the ack and flush with it.
+    fn replicate(
+        &mut self,
+        shared: &Shared,
+        conn: u64,
+        seq: u64,
+        session: String,
+        from_seq: u64,
+        follower_gen: u64,
+    ) -> (Vec<u8>, Option<RouteChange>) {
+        let plan = match self.service.session_mut(&session) {
+            None => Err(format!("unknown session {session:?}")),
+            Some(s) if !s.is_durable() => {
+                Err(format!("session {session:?} keeps no write-ahead log"))
+            }
+            Some(s) => {
+                s.set_repl_tap(true);
+                s.replication_catchup(from_seq, follower_gen)
+                    .map_err(|e| e.to_string())
+            }
+        };
+        let (gen, record0, frames, start_seq) = match plan {
+            Err(detail) | Ok(CatchupPlan::Refused { detail }) => {
+                if !self.repl_routes.contains_key(&session) {
+                    if let Some(s) = self.service.session_mut(&session) {
+                        s.set_repl_tap(false);
+                    }
+                }
+                let ack = ReplicateAck::Refused { detail };
+                return (encode_replicate_ack_payload(&ack), None);
+            }
+            Ok(CatchupPlan::Tail { gen, frames }) => (gen, None, frames, from_seq),
+            Ok(CatchupPlan::Reset {
+                gen,
+                record0,
+                frames,
+            }) => (gen, Some(record0), frames, 0),
+        };
+        let last_seq = self
+            .service
+            .session(&session)
+            .map_or(0, |s| s.wal_last_seq());
+        let key = StreamKey::Repl(session.clone(), seq);
+        self.repl_routes
+            .entry(session.clone())
+            .or_default()
+            .push((conn, key.clone()));
+        let mut conns = shared.repl_conns.lock().expect("repl conns");
+        *conns.entry(conn).or_insert(0) += 1;
+        drop(conns);
+        shared.obs.repl_streams_opened.inc();
+        let ack = ReplicateAck::Streaming {
+            gen,
+            start_seq,
+            last_seq,
+        };
+        let reset = record0.map(|record0| {
+            encode_wal_frame_payload(&WalFrame::Reset {
+                session: session.clone(),
+                gen,
+                record0,
+            })
+        });
+        let records = frames.into_iter().map(|bytes| {
+            encode_wal_frame_payload(&WalFrame::Record {
+                session: session.clone(),
+                gen,
+                bytes,
+                trace: None,
+            })
+        });
+        if !ship_frames(
+            shared,
+            conn,
+            &session,
+            &key,
+            reset.into_iter().chain(records),
+        ) {
+            self.remove_repl_target(shared, &session, conn, &key);
+        }
+        let ack = encode_replicate_ack_payload(&ack);
+        (ack, Some(RouteChange::Activate(key)))
+    }
+
+    /// Step 2 of the drain rule: apply, dispatch and drain events under
+    /// the snapshot gate, so a concurrent metrics probe snapshots this
+    /// shard either before or after the batch, never mid-flight.  Then
+    /// the events go out, and the answers join the step's runs.
+    fn run_batch(&mut self, shared: &Shared, batch: Batch, out: &mut Runs) {
+        let Batch {
+            applies,
+            requests,
+            slots,
+        } = batch;
+        let (results, events) = {
+            let _gate = shared.snap_gates[self.index].lock().expect("snap gate");
+            // (Follower side) leader shipments land first, in the tail
+            // loop's queue order — the leader's commit order.  The reports
+            // go straight back so the tail loop can resume from the
+            // sessions' authoritative positions.
+            for (records, done) in applies {
+                let _ = done.send(apply_batch(&mut self.service, records));
+            }
+            let results = if requests.is_empty() {
+                Vec::new()
+            } else {
+                self.service.dispatch_traced(requests)
+            };
+            (results, self.service.drain_events())
+        };
+        // Learn this batch's route *insertions* before touching any event,
+        // so events for just-opened subscriptions find their connection.
+        // Removals wait until the events are out: an `Unsubscribe` in this
+        // batch closed its subscription at the session, so every drained
+        // event for it was committed by an *earlier* request — unlearning
+        // first would misroute those events into the void.
+        let mut unlearned: Vec<StreamKey> = Vec::new();
+        for ((conn, seq, session), result) in slots.into_iter().zip(&results) {
+            let change = match (result, session) {
+                (Ok(SessionResponse::Subscribed { sub, .. }), Some(session)) => {
+                    let key = StreamKey::Sub(session, *sub);
+                    self.routes.insert(key.clone(), conn);
+                    Some(RouteChange::Activate(key))
+                }
+                (Ok(SessionResponse::Unsubscribed { sub }), Some(session)) => {
+                    let key = StreamKey::Sub(session, *sub);
+                    unlearned.push(key.clone());
+                    Some(RouteChange::Deactivate(key))
+                }
+                _ => None,
+            };
+            answer(out, conn, seq, encode_result_payload(result), change);
+        }
+        // Events go out before the answers: every event here was committed
+        // by a request in this batch, so it precedes — in stream terms —
+        // any `Unsubscribed` answered in it, and the writer's parking keeps
+        // it behind its own `Subscribed`.
+        for (session, event) in events {
+            self.publish(shared, &session, event);
+        }
+        for key in unlearned {
+            self.routes.remove(&key);
+        }
+    }
+
+    /// Hand one committed delta event to its subscription's writer.
+    fn publish(&mut self, shared: &Shared, session: &str, event: DeltaEvent) {
+        let key = StreamKey::Sub(session.to_owned(), event.sub);
+        // A session-side termination (e.g. the view stopped being a
+        // component) ends the stream by itself.  An event that blows the
+        // outbox cap is replaced by a `SlowConsumer` terminal carrying its
+        // sequence, so the client sees exactly where the stream was cut.
+        let last = matches!(event.kind, DeltaKind::Terminated { .. });
+        let slow = || {
+            let notice = DeltaEvent {
+                sub: event.sub,
+                view: event.view.clone(),
+                seq: event.seq,
+                kind: DeltaKind::Terminated {
+                    reason: TerminateReason::SlowConsumer,
+                },
+            };
+            encode_event_payload(session, &notice)
+        };
+        let outcome = match self.routes.get(&key) {
+            Some(&conn) => {
+                let frame = encode_event_payload(session, &event);
+                let cap = shared.event_outbox_cap;
+                deliver_stream_frame(shared, conn, &key, cap, frame, last, slow)
+            }
+            // No consumer: its connection died, or it was slow-dropped
+            // moments ago.
+            None => FrameOutcome::Gone,
+        };
+        if last || !matches!(outcome, FrameOutcome::Delivered) {
+            self.routes.remove(&key);
+        }
+        // A stream the writer no longer takes ends at the session too.
+        if !matches!(outcome, FrameOutcome::Delivered) {
+            if let Some(s) = self.service.session_mut(session) {
+                s.drop_subscription(event.sub);
+            }
+        }
+    }
+
+    /// Ship what the batch appended (records, plus any checkpoint's reset
+    /// image) to every live replication stream.  The tap only runs while
+    /// `repl_routes` has the session, so this sees exactly the records
+    /// committed since the stream's catch-up.
+    fn ship(&mut self, shared: &Shared) {
+        if self.repl_routes.is_empty() {
+            return;
+        }
+        let tapped: Vec<String> = self.repl_routes.keys().cloned().collect();
+        for session in tapped {
+            let Some(s) = self.service.session_mut(&session) else {
+                continue;
+            };
+            let shipments = s.take_wal_shipments();
+            if shipments.is_empty() {
+                continue;
+            }
+            let frames: Vec<Vec<u8>> = shipments
+                .into_iter()
+                .map(|sh| match sh {
+                    WalShipment::Record { gen, bytes, trace } => {
+                        // A traced shipment gets a "repl.ship" instant
+                        // under the producing append span, and the shipped
+                        // context re-parents the follower's apply span
+                        // under the shipment (one instant per record,
+                        // shared by every downstream target).
+                        let trace = trace.map(|(trace_id, parent)| {
+                            let ctx = TraceCtx {
+                                trace_id,
+                                parent_span: parent,
+                            };
+                            match self.dtracer.instant(ctx, "repl.ship") {
+                                0 => (trace_id, parent),
+                                ship => (trace_id, ship),
+                            }
+                        });
+                        encode_wal_frame_payload(&WalFrame::Record {
+                            session: session.clone(),
+                            gen,
+                            bytes,
+                            trace,
+                        })
+                    }
+                    WalShipment::Reset { gen, record0 } => {
+                        encode_wal_frame_payload(&WalFrame::Reset {
+                            session: session.clone(),
+                            gen,
+                            record0,
+                        })
+                    }
                 })
                 .collect();
-            encode_metrics_response_payload(&MetricsSnapshot::merged(parts.iter()))
+            let targets = self.repl_routes.get(&session).cloned().unwrap_or_default();
+            for (conn, key) in targets {
+                if !ship_frames(shared, conn, &session, &key, frames.iter().cloned()) {
+                    self.remove_repl_target(shared, &session, conn, &key);
+                }
+            }
         }
-        Verb::Trace => {
-            let parts: Vec<TraceSnapshot> = shared
-                .registries
-                .iter()
-                .map(|r| r.dtracer().drain())
-                .collect();
-            encode_trace_response_payload(&TraceSnapshot::merged(parts.iter()))
+    }
+
+    /// Re-evaluate the parked read-your-writes waits against the positions
+    /// this step's applies and batch just advanced: answer what is
+    /// satisfied, refuse (typed) what expired by `now`, keep the rest.
+    fn answer_reads(&mut self, shared: &Shared, now: Instant, out: &mut Runs) {
+        for w in std::mem::take(&mut self.waiting) {
+            let pos = self
+                .service
+                .session(&w.session)
+                .map(|s| (s.wal_gen(), s.wal_last_seq()));
+            let result = match pos {
+                None => Err(DispatchError::UnknownSession(w.session)),
+                // Caught up: answer exactly as a plain `Read` would, under
+                // the snapshot gate like any batch.
+                Some((gen, seq)) if gen == w.gen && seq >= w.min_seq => {
+                    let _gate = shared.snap_gates[self.index].lock().expect("snap gate");
+                    let read = SessionRequest::Read { view: w.view };
+                    let mut results = self.service.dispatch(vec![(w.session, read)]);
+                    results.swap_remove(0)
+                }
+                Some((gen, seq)) if now >= w.deadline => Err(DispatchError::Lagging {
+                    want_gen: w.gen,
+                    want_seq: w.min_seq,
+                    gen,
+                    seq,
+                }),
+                Some(_) => {
+                    self.waiting.push(w);
+                    continue;
+                }
+            };
+            answer(out, w.conn, w.seq, encode_result_payload(&result), None);
         }
-        Verb::Sessions => encode_sessions_reply_payload(&SessionsReply {
-            leader: shared.leader_hint.lock().expect("leader hint").clone(),
-            sessions: rows.into_iter().map(|(name, ..)| name).collect(),
-        }),
-        Verb::Topology => encode_topology_reply_payload(&assemble_topology(shared, rows)),
+    }
+
+    /// A dead connection's streams end: its subscriptions stop publishing
+    /// and its replication streams stop shipping.
+    fn cancel(&mut self, shared: &Shared, conn: u64) {
+        let service = &mut self.service;
+        self.routes.retain(|key, c| {
+            if *c != conn {
+                return true;
+            }
+            if let StreamKey::Sub(session, sub) = key {
+                if let Some(s) = service.session_mut(session) {
+                    s.drop_subscription(*sub);
+                }
+            }
+            false
+        });
+        let tailed: Vec<(String, StreamKey)> = self
+            .repl_routes
+            .iter()
+            .flat_map(|(session, targets)| {
+                targets
+                    .iter()
+                    .filter(|(c, _)| *c == conn)
+                    .map(|(_, k)| (session.clone(), k.clone()))
+            })
+            .collect();
+        for (session, key) in tailed {
+            self.remove_repl_target(shared, &session, conn, &key);
+        }
+    }
+
+    /// Pass a barrier: add this partition's durable positions and live
+    /// subscription routes to the tally, and hand the finished tally back
+    /// if this shard is the last one through.
+    fn pass(&self, tally: &Mutex<Tally>) -> Option<Tally> {
+        let mut t = tally.lock().expect("barrier tally");
+        t.rows
+            .extend(self.service.session_names().filter_map(|name| {
+                let s = self.service.session(name).filter(|s| s.is_durable())?;
+                Some((name.to_owned(), s.wal_gen(), s.wal_last_seq()))
+            }));
+        t.subscribers += self.routes.len() as u64;
+        t.left -= 1;
+        (t.left == 0).then(|| std::mem::take(&mut *t))
+    }
+
+    /// (Follower side) promotion: every `Apply` queued ahead has landed,
+    /// so fsync this partition's logs and flip its sessions writable.
+    fn promote(&mut self) -> Result<(), String> {
+        let names: Vec<String> = self.service.session_names().map(str::to_owned).collect();
+        for name in names {
+            let Some(s) = self.service.session_mut(&name) else {
+                continue;
+            };
+            s.sync_wal().map_err(|e| format!("{name}: {e}"))?;
+            s.set_read_only(None);
+        }
+        Ok(())
+    }
+
+    /// Forget one replication stream target: release its idle-timeout
+    /// exemption, and turn the session's shipment tap off when nobody is
+    /// listening any more.
+    fn remove_repl_target(&mut self, shared: &Shared, session: &str, conn: u64, key: &StreamKey) {
+        let Some(targets) = self.repl_routes.get_mut(session) else {
+            return;
+        };
+        let before = targets.len();
+        targets.retain(|(c, k)| !(*c == conn && k == key));
+        if targets.len() < before {
+            let mut conns = shared.repl_conns.lock().expect("repl conns");
+            if let Some(n) = conns.get_mut(&conn) {
+                *n -= 1;
+                if *n == 0 {
+                    conns.remove(&conn);
+                }
+            }
+            shared.obs.repl_streams_closed.inc();
+        }
+        if targets.is_empty() {
+            self.repl_routes.remove(session);
+            if let Some(s) = self.service.session_mut(session) {
+                s.set_repl_tap(false);
+            }
+        }
     }
 }
 
-/// Fold the sorted `(session, gen, applied)` rows and the shared link
-/// state into one [`TopologyReply`] — the `Topology` verb's answer.
-fn assemble_topology(shared: &Shared, rows: Vec<(String, u64, u64)>) -> TopologyReply {
+/// The `Metrics` reply: one snapshot per shard registry, each under that
+/// shard's snapshot gate so it lands on a batch boundary, merged.
+fn metrics_reply(shared: &Shared, _: Tally) -> Vec<u8> {
+    let parts: Vec<MetricsSnapshot> = shared
+        .snap_gates
+        .iter()
+        .zip(&shared.registries)
+        .map(|(gate, registry)| {
+            let _gate = gate.lock().expect("snap gate");
+            registry.snapshot()
+        })
+        .collect();
+    encode_metrics_response_payload(&MetricsSnapshot::merged(parts.iter()))
+}
+
+/// The `Trace` reply: every shard's span buffer, drained and merged.
+fn trace_reply(shared: &Shared, _: Tally) -> Vec<u8> {
+    let parts: Vec<TraceSnapshot> = shared
+        .registries
+        .iter()
+        .map(|r| r.dtracer().drain())
+        .collect();
+    encode_trace_response_payload(&TraceSnapshot::merged(parts.iter()))
+}
+
+/// The `Sessions` reply: the durable sessions, sorted, and the root-leader
+/// hint.
+fn sessions_reply(shared: &Shared, mut tally: Tally) -> Vec<u8> {
+    tally.rows.sort();
+    encode_sessions_reply_payload(&SessionsReply {
+        leader: shared.leader_hint.lock().expect("leader hint").clone(),
+        sessions: tally.rows.into_iter().map(|(name, ..)| name).collect(),
+    })
+}
+
+/// The `Topology` reply: the tally's sorted `(session, gen, applied)`
+/// rows and subscription count folded with the shared link state.
+fn topology_reply(shared: &Shared, mut tally: Tally) -> Vec<u8> {
+    tally.rows.sort();
     let now = Instant::now();
     let topo = shared.topo.lock().expect("topo");
     let role = if topo.upstream.is_some() {
@@ -2033,20 +2033,8 @@ fn assemble_topology(shared: &Shared, rows: Vec<(String, u64, u64)>) -> Topology
         .values()
         .map(|&n| n as u64)
         .sum();
-    let subscribers = shared
-        .conns
-        .lock()
-        .expect("conns")
-        .values()
-        .map(|slot| {
-            let st = slot.state.lock().expect("out state");
-            st.active
-                .iter()
-                .filter(|k| matches!(k, StreamKey::Sub(..)))
-                .count() as u64
-        })
-        .sum();
-    let sessions = rows
+    let sessions = tally
+        .rows
         .into_iter()
         .map(|(name, gen, applied)| {
             let (target, lag_age_ms) = match topo.links.get(&name) {
@@ -2066,16 +2054,19 @@ fn assemble_topology(shared: &Shared, rows: Vec<(String, u64, u64)>) -> Topology
             }
         })
         .collect();
-    TopologyReply {
+    encode_topology_reply_payload(&TopologyReply {
         role,
         upstream: topo.upstream.clone(),
         root,
         heartbeat_age_ms,
         repl_streams,
-        subscribers,
+        subscribers: tally.subscribers,
         sessions,
-    }
+    })
 }
+
+#[cfg(test)]
+mod schedule;
 
 #[cfg(test)]
 mod tests {
@@ -2083,27 +2074,40 @@ mod tests {
     use crate::proto::{decode_event_payload, decode_wal_frame_payload};
     use compview_relation::{Instance, RelDecl, Signature};
 
-    /// A `Shared` with no shards and no threads: just enough for the
-    /// writer-side delivery functions under test.
-    fn test_shared() -> Arc<Shared> {
-        let registry = Registry::new();
+    /// A `Shared` with one queue per shard registry and no threads, both
+    /// outbox caps at `cap`: enough for the delivery functions, and for
+    /// [`Shard`]s driven by hand.
+    pub(super) fn test_shared_with(registries: &[Registry], cap: usize) -> Arc<Shared> {
+        let obs = registries.first().cloned().unwrap_or_else(Registry::new);
         Arc::new(Shared {
-            shards: Vec::new(),
-            snap_gates: Vec::new(),
-            registries: Vec::new(),
+            shards: registries
+                .iter()
+                .map(|_| ShardQueue {
+                    queue: Mutex::new(VecDeque::new()),
+                    wake: Condvar::new(),
+                })
+                .collect(),
+            snap_gates: registries.iter().map(|_| Mutex::new(())).collect(),
+            registries: registries.to_vec(),
             stop: AtomicBool::new(false),
             conns: Mutex::new(BTreeMap::new()),
             readers: Mutex::new(Vec::new()),
             writers: Mutex::new(Vec::new()),
-            event_outbox_cap: 1,
-            repl_outbox_cap: 1,
+            event_outbox_cap: cap,
+            repl_outbox_cap: cap,
             read_timeout: None,
             heartbeat_interval: None,
             repl_conns: Mutex::new(BTreeMap::new()),
             leader_hint: Mutex::new(None),
             topo: Mutex::new(TopoState::default()),
-            obs: ServeObs::new(&registry),
+            obs: ServeObs::new(&obs),
         })
+    }
+
+    /// A `Shared` with no shards and no threads: just enough for the
+    /// writer-side delivery functions under test.
+    fn test_shared() -> Arc<Shared> {
+        test_shared_with(&[], 1)
     }
 
     /// A conn slot over a real loopback socket pair (no writer thread, so
@@ -2111,19 +2115,19 @@ mod tests {
     /// the far end (kept alive so the socket stays up).
     fn test_conn(shared: &Shared, conn: u64) -> (Arc<ConnSlot>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        test_conn_on(&listener, shared, conn)
+    }
+
+    /// [`test_conn`] accepting on an existing loopback `listener`.
+    pub(super) fn test_conn_on(
+        listener: &TcpListener,
+        shared: &Shared,
+        conn: u64,
+    ) -> (Arc<ConnSlot>, TcpStream) {
         let far = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (near, _) = listener.accept().expect("accept");
         let slot = Arc::new(ConnSlot {
-            state: Mutex::new(OutState {
-                next_seq: 0,
-                pending: BTreeMap::new(),
-                ready: VecDeque::new(),
-                active: BTreeSet::new(),
-                parked: BTreeMap::new(),
-                dead: BTreeSet::new(),
-                queued: BTreeMap::new(),
-                closed: false,
-            }),
+            state: Mutex::new(OutState::default()),
             wake: Condvar::new(),
             stream: near,
         });
@@ -2279,12 +2283,10 @@ mod tests {
             // The opening response lands in wire order: owed frames flush
             // oldest-first, the terminal last, and the dead stream is
             // forgotten.
-            deliver_response(
+            deliver_responses(
                 &shared,
                 7,
-                0,
-                vec![0xAA],
-                Some(RouteChange::Activate(key.clone())),
+                [(0, vec![0xAA], Some(RouteChange::Activate(key.clone())))],
             );
             let st = slot.state.lock().expect("state");
             let frames: Vec<&Vec<u8>> = st.ready.iter().map(|(f, _)| f).collect();
@@ -2307,12 +2309,10 @@ mod tests {
         for key in streams() {
             let shared = test_shared();
             let (slot, _far) = test_conn(&shared, 3);
-            deliver_response(
+            deliver_responses(
                 &shared,
                 3,
-                0,
-                vec![0xAA],
-                Some(RouteChange::Activate(key.clone())),
+                [(0, vec![0xAA], Some(RouteChange::Activate(key.clone())))],
             );
             for n in 0..2 {
                 assert!(matches!(

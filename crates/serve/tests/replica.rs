@@ -1118,6 +1118,91 @@ fn a_stall_mid_frame_is_torn_even_on_a_replication_connection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A caught-up `Replicate` ships no catch-up frames, so a stream opened
+/// in the same drain as its connection's cancel lives on only if the
+/// cancel runs first.  It runs after the batch: the follower here asks
+/// from the log's end and hangs up while the shard is busy, and once
+/// that drain is done no stream is left tapping the idle session.
+#[test]
+fn caught_up_replicate_drained_with_its_own_cancel_is_closed() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let sig = sig();
+    let durable = Session::open_durable(
+        SubschemaComponents::singletons(sig.clone()),
+        Schema::unconstrained(sig.clone()),
+        &pools(),
+        base(),
+        SessionConfig::default(),
+        Box::new(MemStore::new().0),
+        SyncPolicy::Never,
+    )
+    .unwrap();
+    // `2^10` states: a pool insert doubles the space and holds the
+    // dispatcher for a while.
+    let tuples = |prefix: &str| -> Vec<Tuple> {
+        (0..5)
+            .map(|i| Tuple::new([v(&format!("{prefix}{i}"))]))
+            .collect()
+    };
+    let big_pools: BTreeMap<String, Vec<Tuple>> =
+        [("R".to_owned(), tuples("r")), ("S".to_owned(), tuples("s"))].into();
+    let big = Session::open(
+        SubschemaComponents::singletons(sig.clone()),
+        Schema::unconstrained(sig.clone()),
+        &big_pools,
+        Instance::null_model(&sig),
+        SessionConfig::default(),
+    )
+    .unwrap();
+    let mut svc = Service::new();
+    svc.add_session("alpha", durable).unwrap();
+    svc.add_session("big", big).unwrap();
+    let server = Server::bind("127.0.0.1:0", svc).unwrap();
+
+    let mut busy = Client::connect(server.local_addr()).unwrap();
+    let Ok(compview_session::SessionResponse::Stats(stats)) =
+        busy.request("alpha", &SessionRequest::Stats).unwrap()
+    else {
+        panic!("stats");
+    };
+    busy.send("big", &insert("R", "grow")).unwrap();
+    busy.flush().unwrap();
+    // The dispatcher is now inside the insert, so what arrives meanwhile
+    // waits for one next drain.  The pause only makes that shared drain
+    // likely; with cancels after the batch the outcome does not depend
+    // on it.
+    thread::sleep(Duration::from_millis(10));
+    let mut follower = TcpStream::connect(server.local_addr()).unwrap();
+    let mut hs = [0u8; 6];
+    follower.read_exact(&mut hs).unwrap();
+    follower.write_all(b"CVRPC1").unwrap();
+    let caught_up = encode_replicate_payload("alpha", stats.wal_seq + 1, stats.wal_gen);
+    write_frame(&mut follower, &caught_up).unwrap();
+    follower.shutdown(Shutdown::Both).unwrap();
+    drop(follower);
+    assert!(busy.recv().unwrap().is_ok());
+
+    let mut streams = u64::MAX;
+    for _ in 0..100 {
+        streams = busy.topology().unwrap().repl_streams;
+        if streams == 0 {
+            break;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        streams, 0,
+        "the dead connection's replication stream leaked"
+    );
+    let metrics = busy.metrics().unwrap();
+    assert_eq!(
+        counter(&metrics, "serve.repl.streams_opened"),
+        counter(&metrics, "serve.repl.streams_closed")
+    );
+    drop(busy);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Satellite: typed, sticky connection loss
 // ---------------------------------------------------------------------

@@ -592,3 +592,81 @@ fn dead_connection_drops_its_subscriptions() {
     assert_eq!(live, 0, "dead connection's subscription never dropped");
     server.shutdown();
 }
+
+/// A session of `R` and `S` over `bits` pool tuples: `2^bits` states, so
+/// a pool insert doubles the space and holds its dispatcher for a while.
+fn big_session(bits: usize) -> Session<SubschemaComponents> {
+    let sig = sig();
+    let tuples = |prefix: &str, n: usize| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| Tuple::new([v(&format!("{prefix}{i}"))]))
+            .collect()
+    };
+    let pools: BTreeMap<String, Vec<Tuple>> = [
+        ("R".to_owned(), tuples("r", bits / 2)),
+        ("S".to_owned(), tuples("s", bits - bits / 2)),
+    ]
+    .into();
+    Session::open(
+        SubschemaComponents::singletons(sig.clone()),
+        Schema::unconstrained(sig.clone()),
+        &pools,
+        Instance::null_model(&sig),
+        SessionConfig::default(),
+    )
+    .unwrap()
+}
+
+/// A connection that subscribes and hangs up while its shard is busy
+/// puts its `Subscribe` and its cancel in one drain.  The cancel runs
+/// after the batch, so it drops the subscription the batch just opened
+/// even on an idle session, where no event would ever find the dead
+/// route.
+#[test]
+fn subscribe_drained_with_its_own_cancel_is_dropped() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let mut svc = demo_service();
+    let register = SessionRequest::RegisterView {
+        name: "r".into(),
+        mask: 0b01,
+    };
+    svc.serve("alpha", register).unwrap();
+    svc.add_session("big", big_session(10)).unwrap();
+    let server = Server::bind("127.0.0.1:0", svc).unwrap();
+    let mut busy = Client::connect(server.local_addr()).unwrap();
+    let grow = SessionRequest::InsertPoolTuple {
+        relation: "R".into(),
+        tuple: Tuple::new([v("grow")]),
+    };
+    busy.send("big", &grow).unwrap();
+    busy.flush().unwrap();
+    // The dispatcher is now inside the insert, so what arrives meanwhile
+    // waits for one next drain.  The pause only makes that shared drain
+    // likely; with cancels after the batch the outcome does not depend
+    // on it.
+    std::thread::sleep(std::time::Duration::from_millis(10));
+    let mut doomed = Client::connect(server.local_addr()).unwrap();
+    doomed
+        .send("alpha", &SessionRequest::Subscribe { view: "r".into() })
+        .unwrap();
+    drop(doomed); // writes the subscribe, then hangs up
+    assert!(busy.recv().unwrap().is_ok());
+
+    let mut live = usize::MAX;
+    for _ in 0..100 {
+        let stats = busy.request("alpha", &SessionRequest::Stats).unwrap();
+        let Ok(SessionResponse::Stats(snap)) = stats else {
+            panic!("{stats:?}");
+        };
+        live = snap.active_subs;
+        if live == 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(live, 0, "the dead connection's subscription leaked");
+    drop(busy);
+    let svc = server.shutdown();
+    let alpha = svc.session("alpha").unwrap();
+    assert_eq!(alpha.active_subscriptions(), 0);
+}

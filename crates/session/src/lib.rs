@@ -206,7 +206,7 @@ pub struct StatsSnapshot {
     /// record-0 frame; changes on every checkpoint).  Together with
     /// `wal_seq` this addresses the session's durable position — the
     /// token a client hands to a follower for a read-your-writes
-    /// [`serve`]-level `ReadAt`.  0 on non-durable sessions.
+    /// `compview-serve` `ReadAt`.  0 on non-durable sessions.
     pub wal_gen: u64,
     /// Sequence number of the last write-ahead-log record — also the
     /// record count recovery would replay after the snapshot.  0 on

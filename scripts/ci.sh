@@ -17,6 +17,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings (unresolvable or private intra-doc links, redundant
+# link targets) are errors, so the rendered docs stay link-clean.
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -39,10 +44,21 @@ COMPVIEW_FAULT_SEED="${COMPVIEW_FAULT_SEED:-20260806}" \
 
 # The wire protocol's contract is byte-identity with in-process dispatch;
 # the loopback suite proves it at 1, 2, and 8 worker threads, plus
-# connection isolation under malformed frames.
+# connection isolation under malformed frames.  The crate's unit tests
+# include the shard schedule test: seeded interleavings of readers,
+# connection deaths, shard steps and writers, checked against an
+# in-process oracle.
 echo "==> cargo test -p compview-serve (wire codec + loopback server)"
 timeout "$suite_limit" cargo test -q -p compview-serve
 timeout "$suite_limit" cargo test -q -p compview-serve --test loopback
+
+# The schedule test draws its interleavings from COMPVIEW_FAULT_SEED
+# (default base 0xC0FFEE); one base seed checks one set of schedules, so
+# run it under a second fixed seed too.
+echo "==> shard schedule test under a second seed (COMPVIEW_FAULT_SEED=20261017)"
+COMPVIEW_FAULT_SEED=20261017 \
+    timeout "$suite_limit" cargo test -q -p compview-serve --lib -- --exact \
+    server::schedule::every_schedule_matches_the_oracle_and_releases_every_stream
 
 # The sharded dispatcher's contract is the same byte-identity at 1, 2,
 # and 8 dispatcher shards — responses, per-session WAL files, and
