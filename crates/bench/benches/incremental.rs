@@ -9,11 +9,13 @@
 //! space); each "full" iter performs the same edit pair by two fresh
 //! enumerations.
 //!
-//! Expected shape: patch ≫ full — insert decides fresh poset pairs by
-//! per-relation submask inclusion (u64 ops) instead of the O(n²)
-//! subinstance checks of `FinPoset::from_leq`, and remove is a pure
-//! filter that never consults leq.  Acceptance floor: ≥5x at the
-//! largest pool.
+//! Expected shape: patch < full.  Both build the ↓-poset the same way,
+//! from each state's pool bits (one AND of bit columns per state, no
+//! `is_subinstance` walk), so the gap is what the patch skips: the old
+//! blocks' DFS, the old states' assembly and constraint checks, the
+//! id-index sort of the old states, and enumeration's `verify()` of the
+//! poset axioms; remove is a pure filter.  Floor: patch below full at
+//! every pool, 2.4–3.6× at the largest (EXPERIMENTS.md, E27).
 
 use compview_bench::header;
 use compview_core::StateSpace;

@@ -18,7 +18,7 @@
 //! [`verify_family`] checks the §3 laws on sample states for any
 //! implementation — the generic contract every new family must meet.
 
-use compview_relation::Instance;
+use compview_relation::{Instance, Relation};
 
 /// A structurally implemented Boolean algebra of components.
 pub trait ComponentFamily {
@@ -61,6 +61,18 @@ pub trait ComponentFamily {
     /// each component once between them.  `None`, the default, opts out:
     /// every session then checks for itself.
     fn fingerprint(&self) -> Option<Vec<u8>> {
+        None
+    }
+
+    /// The relations `endo(mask, ·)` keeps whole, when it keeps some
+    /// relations whole and empties every other one: then `endo(mask,
+    /// base)` is `base` with each relation outside the list emptied, for
+    /// every `base` over the family's relations.  An enumerated space
+    /// then builds the mask's state map from pool bits alone
+    /// ([`crate::StateSpace::projection`]) instead of one `endo` and one
+    /// lookup per state.  `None`, the default, makes no such claim.
+    /// [`verify_family`] checks the claim on its samples.
+    fn kept_relations(&self, _mask: u32) -> Option<Vec<String>> {
         None
     }
 
@@ -215,7 +227,10 @@ impl FamilyReport {
 /// 4. translation is exact on the updated component and constant on the
 ///    complement (taking other samples' parts as update targets);
 /// 5. translation is symmetric (undo restores the base) and functorial
-///    (two steps equal the direct step).
+///    (two steps equal the direct step);
+/// 6. where the family names the relations a mask keeps
+///    ([`ComponentFamily::kept_relations`]), the part is the base with
+///    every other relation emptied.
 pub fn verify_family<F: ComponentFamily + Sync>(family: &F, samples: &[Instance]) -> FamilyReport {
     verify_family_with(family, samples, compview_parallel::num_threads())
 }
@@ -266,6 +281,20 @@ fn verify_cell<F: ComponentFamily>(
         violations.push(format!(
             "sample {si}, mask {mask:#b}: endo image not a component state"
         ));
+    }
+    // (6) the declared kept relations are what the part keeps.
+    if let Some(keep) = family.kept_relations(mask) {
+        let mut projected = base.clone();
+        for (name, rel) in base.iter() {
+            if !keep.iter().any(|k| k == name) {
+                projected.set(name, Relation::empty(rel.arity()));
+            }
+        }
+        if part != projected {
+            violations.push(format!(
+                "sample {si}, mask {mask:#b}: endo image is not the kept relations {keep:?}"
+            ));
+        }
     }
     // (3) identity update.
     match family.translate(mask, base, &part) {
@@ -354,6 +383,54 @@ mod tests {
         let report = verify_family(&Broken, &samples);
         assert!(!report.ok());
         assert!(report.violations.iter().any(|v| v.contains("lossless")));
+    }
+
+    /// A subschema family that names the complement's relations as the
+    /// ones each mask keeps.
+    struct Misdeclared(crate::SubschemaComponents);
+
+    impl ComponentFamily for Misdeclared {
+        fn n_atoms(&self) -> usize {
+            self.0.n_atoms()
+        }
+        fn relations(&self) -> Vec<String> {
+            self.0.relations()
+        }
+        fn endo(&self, mask: u32, base: &Instance) -> Instance {
+            self.0.endo(mask, base)
+        }
+        fn reconstruct(&self, a: &Instance, b: &Instance) -> Instance {
+            self.0.reconstruct(a, b)
+        }
+        fn is_component_state(&self, mask: u32, part: &Instance) -> bool {
+            self.0.is_component_state(mask, part)
+        }
+        fn kept_relations(&self, mask: u32) -> Option<Vec<String>> {
+            self.0.kept_relations(self.0.complement(mask))
+        }
+    }
+
+    #[test]
+    fn verifier_catches_a_wrong_kept_relations_claim() {
+        use compview_relation::{RelDecl, Signature};
+        let sig = Signature::new([RelDecl::new("R", ["A"]), RelDecl::new("S", ["A"])]);
+        let samples = vec![
+            Instance::null_model(&sig),
+            Instance::null_model(&sig)
+                .with("R", rel(1, [["x"]]))
+                .with("S", rel(1, [["y"]])),
+        ];
+        let honest = crate::SubschemaComponents::singletons(sig);
+        assert!(verify_family(&honest, &samples).ok());
+        let report = verify_family(&Misdeclared(honest), &samples);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.contains("sample 1, mask 0b1: endo image is not the kept relations")),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]

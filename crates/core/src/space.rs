@@ -7,37 +7,67 @@
 //! §§1–3 — kernels, complements, strong views, admissibility — *decidable*
 //! on the space.
 //!
+//! # Pool bits
+//!
+//! A space built by [`StateSpace::enumerate`] gives each state one `u64`
+//! of **pool bits**: relation `r`'s pool occupies bits `[off_r, off_r +
+//! |pool_r|)`, relations in declaration order, and bit `off_r + p` says
+//! the state holds `pool_r[p]`.  The enumerator's combo order (first
+//! relation fastest, each relation's legal blocks ascending by submask)
+//! is ascending pool bits, so the state list is sorted by them.
+//!
+//! Pools are sets: [`StateSpace::shared`] refuses a pool that repeats a
+//! tuple ([`PoolError::DuplicateTuple`]), and so does the enumerator, by
+//! panicking.  With no repeats, relation-by-relation inclusion of two
+//! states is exactly the subset order on their pool bits, which gives two
+//! word-level kernels:
+//!
+//! - **The ↓-poset from columns.**  Column `j` is the bitset of the states
+//!   holding pool bit `j`; a state's up-row is the AND of its bits'
+//!   columns (every state for the null model), and the down-rows are the
+//!   transpose ([`FinPoset::from_up_rows`]).  That is O(n · bits per
+//!   state · n/64) word operations for any number of relations, where
+//!   deciding each pair with `is_subinstance` is n² B-tree walks.
+//!   Enumeration verifies the axioms on the result; the edits below
+//!   leave that to debug builds.
+//! - **Subschema state maps by projection.**  An endomorphism that keeps
+//!   some relations whole and empties the rest (a subschema component's
+//!   `γ_S⊖`) maps a state to the state holding its bits of the kept
+//!   relations: one AND and one binary search over the sorted bits
+//!   ([`StateSpace::projection`]), instead of building an `Instance` and
+//!   looking it up.
+//!
+//! The bits fit one `u64` only while the raw pool bits do, so a space has
+//! at most [`MAX_POOL_BITS`] of them whatever its guard; beyond that the
+//! pool check and the edits refuse with `TooLarge`.
+//!
 //! # Incremental maintenance
 //!
-//! A space built by [`StateSpace::enumerate`] keeps its enumeration
-//! provenance (the tuple pools, each relation's legal blocks, and which
-//! block each state draws per relation).  [`StateSpace::insert_tuple`] and
-//! [`StateSpace::remove_tuple`] use it to *patch* the space in place:
+//! An enumerated space keeps its provenance (the tuple pools, each
+//! relation's legal blocks, and each state's pool bits).
+//! [`StateSpace::insert_tuple`] and [`StateSpace::remove_tuple`] use it
+//! to *patch* the space in place:
 //!
-//! - **Insert** appends the tuple to the end of its relation's pool.  Block
-//!   legality depends only on the tuple set, so every old block stays legal
-//!   and the new block list is `old ++ fresh` where `fresh` are exactly the
-//!   blocks containing the new tuple (a seeded DFS,
-//!   `Schema::legal_blocks_seeded`).  In the cross-product combo order the
-//!   old states of each suffix chunk stay contiguous and in order, so the
-//!   new state list is produced by splicing assembled-and-filtered new
-//!   combos between preserved old states — no old state is rebuilt or
-//!   re-checked.
-//! - **Remove** drops every block whose submask uses the removed pool bit.
-//!   Surviving states are a pure filter of the old list (no instance
-//!   assembly, no constraint checks), and the poset is a restriction.
+//! - **Insert** appends the tuple to the end of its relation's pool, as
+//!   the relation's new top bit; the bits of later relations move up by
+//!   one.  Block legality depends only on the tuple set, so every old
+//!   block stays legal and the new block list is `old ++ fresh`, where
+//!   `fresh` are exactly the blocks containing the new tuple (a seeded
+//!   DFS, `Schema::legal_blocks_seeded`).  The fresh states are assembled
+//!   and filtered as enumeration would, and they come out in ascending
+//!   pool bits, as the old states do; the new state list is the merge of
+//!   the two runs by their bits.  No old state is rebuilt or re-checked.
+//! - **Remove** drops every block whose submask uses the removed pool
+//!   bit.  The surviving states are a pure filter of the old list (no
+//!   instance assembly, no constraint checks), with that bit cut out of
+//!   their pool bits.
 //!
-//! Both patch the poset bitrows via [`FinPoset::patched`], comparing states
-//! by per-relation pool submasks (word tests) instead of `is_subinstance`
-//! B-tree walks.  Submask inclusion coincides with relation inclusion here
-//! because a pool tuple whose bit appears in any legal block is necessarily
-//! unduplicated — a duplicate would pack two distinct submasks to equal
-//! relations, hence equal states, which `FinPoset::from_leq` rejects as an
-//! antisymmetry violation at construction.
-//!
-//! The result is checked byte-identical to a fresh enumeration by
-//! [`StateSpace::validate_against_full`] (used by the cross-validation
-//! tests and `compview-session`'s paranoid mode).
+//! Both then build the poset from the new pool bits' columns, the same
+//! kernel enumeration uses.  The result is checked byte-identical to a
+//! fresh enumeration by [`StateSpace::validate_against_full`] (used by
+//! the cross-validation tests and `compview-session`'s paranoid mode),
+//! which also compares the poset with the `is_subinstance` order of the
+//! states, since both sides of the first comparison share the kernel.
 //!
 //! # One space per key
 //!
@@ -82,7 +112,7 @@
 use compview_lattice::FinPoset;
 use compview_logic::{EnumObs, EnumerationConfig, LegalBlock, Schema};
 use compview_relation::{binio, Instance, Tuple};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
@@ -138,11 +168,12 @@ struct IncState {
     pools: BTreeMap<String, Vec<Tuple>>,
     /// The enumeration guard the space was built under (edits re-check it).
     max_bits: usize,
-    /// Per declared relation, the legal blocks in enumeration order.
+    /// Per declared relation, the legal blocks in ascending submask order.
     blocks: Vec<Vec<LegalBlock>>,
-    /// Flattened per-state block indices: entry `s * n_rels + r` indexes
-    /// `blocks[r]` for state `s`.
-    state_blocks: Vec<u32>,
+    /// Per state, its pool bits: relation `r`'s pool occupies bits
+    /// `[off_r, off_r + |pool_r|)`, relations in declaration order
+    /// ([`pool_offsets`]).  The state list ascends by these masks.
+    masks: Vec<u64>,
 }
 
 /// Outcome of a successful pool edit.
@@ -247,7 +278,14 @@ pub enum PoolError {
         /// The tuple's arity.
         got: usize,
     },
-    /// The raw pool bits exceed the enumeration guard.
+    /// A pool holds one tuple twice.  Pools are sets: a state's pool bits
+    /// name its tuples only while no pool repeats one.
+    DuplicateTuple {
+        /// The relation whose pool repeats a tuple.
+        relation: String,
+    },
+    /// The raw pool bits exceed the enumeration guard, or the
+    /// [`MAX_POOL_BITS`] of a state's pool-bit mask.
     TooLarge {
         /// Raw pool bits over the declared relations.
         bits: usize,
@@ -268,6 +306,9 @@ impl std::fmt::Display for PoolError {
                 f,
                 "pool of {relation:?} holds a tuple of arity {got}, expected {expected}"
             ),
+            PoolError::DuplicateTuple { relation } => {
+                write!(f, "pool of {relation:?} repeats a tuple")
+            }
             PoolError::TooLarge { bits, max_bits } => write!(
                 f,
                 "state space 2^{bits} too large to enumerate (max_bits = {max_bits})"
@@ -278,9 +319,15 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
+/// The most pool bits an enumerated space can have, whatever its guard:
+/// each state's pool bits are one `u64`.
+pub const MAX_POOL_BITS: usize = 64;
+
 /// Check `pools` against `schema` and the guard, exactly where the
-/// enumerator would otherwise panic: every declared relation has a pool,
-/// every pool tuple has its relation's arity, and the pool bits fit.
+/// enumerator would otherwise panic or the pool-bit order would be
+/// wrong: every declared relation has a pool, every pool tuple has its
+/// relation's arity, no pool repeats a tuple, and the pool bits fit both
+/// the guard and [`MAX_POOL_BITS`].
 fn check_pools(schema: &Schema, pools: &Pools, max_bits: usize) -> Result<(), PoolError> {
     let mut bits = 0;
     for d in schema.sig().decls() {
@@ -294,12 +341,101 @@ fn check_pools(schema: &Schema, pools: &Pools, max_bits: usize) -> Result<(), Po
                 got: t.arity(),
             });
         }
+        let mut seen = BTreeSet::new();
+        if !pool.iter().all(|t| seen.insert(t)) {
+            return Err(PoolError::DuplicateTuple {
+                relation: d.name().to_owned(),
+            });
+        }
         bits += pool.len();
     }
-    if bits > max_bits {
+    if bits > max_bits.min(MAX_POOL_BITS) {
         return Err(PoolError::TooLarge { bits, max_bits });
     }
     Ok(())
+}
+
+/// Where each declared relation's pool starts in a state's pool bits:
+/// the pools' lengths summed in declaration order.
+fn pool_offsets(schema: &Schema, pools: &Pools) -> Vec<usize> {
+    let mut off = 0;
+    schema
+        .sig()
+        .decls()
+        .iter()
+        .map(|d| {
+            let at = off;
+            off += pools[d.name()].len();
+            at
+        })
+        .collect()
+}
+
+/// `submask` placed at bit `off` of a state's pool bits.  An offset of
+/// [`MAX_POOL_BITS`] only ever holds the empty block of an empty pool.
+fn place(submask: u64, off: usize) -> u64 {
+    u32::try_from(off)
+        .ok()
+        .and_then(|off| submask.checked_shl(off))
+        .unwrap_or(0)
+}
+
+/// Bits `0..q` (`q < 64`).
+fn low_bits(q: usize) -> u64 {
+    (1 << q) - 1
+}
+
+/// `m` with a clear bit inserted at `q` (`q < 64`): the bits from `q`
+/// up move up by one.  The top bit must be clear.
+fn widen(m: u64, q: usize) -> u64 {
+    (m & low_bits(q)) | ((m & !low_bits(q)) << 1)
+}
+
+/// `m` without bit `q` (`q < 64`): the bits above it move down by one.
+fn drop_bit(m: u64, q: usize) -> u64 {
+    (m & low_bits(q)) | ((m >> 1) & !low_bits(q))
+}
+
+/// The set bits of `m`, ascending.
+fn bit_indices(m: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(m), |&x| Some(x & x.wrapping_sub(1)))
+        .take_while(|&x| x != 0)
+        .map(|x| x.trailing_zeros() as usize)
+}
+
+/// The inclusion order of states given by their pool bits.  With pools
+/// that repeat no tuple, state `a` is a subinstance of state `b`
+/// relation by relation (Notation 1.2.3) exactly when `a`'s bits are a
+/// subset of `b`'s.  Column `j` is the set of states holding pool bit
+/// `j`; up-row `a` is the AND of the columns of `a`'s bits, or every
+/// state when `a` holds none (the null model).  That is O(n · bits per
+/// state · n/64) word operations, small beside the state assembly
+/// around every call, so it runs on the calling thread.
+fn inclusion_poset(masks: &[u64]) -> FinPoset {
+    let n = masks.len();
+    let words = n.div_ceil(64);
+    let mut columns = vec![0u64; MAX_POOL_BITS * words];
+    for (s, &m) in masks.iter().enumerate() {
+        for j in bit_indices(m) {
+            columns[j * words + s / 64] |= 1 << (s % 64);
+        }
+    }
+    let mut every = vec![!0u64; words];
+    if !n.is_multiple_of(64) {
+        every[words - 1] = (1 << (n % 64)) - 1;
+    }
+    let mut up = Vec::with_capacity(n * words);
+    for &m in masks {
+        let at = up.len();
+        up.extend_from_slice(&every);
+        for j in bit_indices(m) {
+            let column = &columns[j * words..(j + 1) * words];
+            for (w, c) in up[at..].iter_mut().zip(column) {
+                *w &= c;
+            }
+        }
+    }
+    FinPoset::from_up_rows(n, up)
 }
 
 /// The interner table: key hash → weak handles of the spaces published
@@ -404,9 +540,12 @@ impl StateSpace {
     /// Enumerate the space from per-relation tuple pools.
     ///
     /// # Panics
-    /// Panics if the raw space exceeds the enumeration guard in
-    /// `compview-logic`, or if the schema lacks the null model property —
-    /// §3's standing assumption, required for the ↓-poset structure.
+    /// Panics with the [`PoolError`]'s message if the pools do not fit
+    /// the schema — a missing pool, a tuple of the wrong arity, a pool
+    /// that repeats a tuple, or more raw pool bits than the enumeration
+    /// guard or [`MAX_POOL_BITS`] — or if the schema lacks the null model
+    /// property — §3's standing assumption, required for the ↓-poset
+    /// structure.
     pub fn enumerate(schema: Schema, pools: &BTreeMap<String, Vec<Tuple>>) -> StateSpace {
         StateSpace::enumerate_with(schema, pools, &EnumerationConfig::default())
     }
@@ -425,6 +564,10 @@ impl StateSpace {
     /// [`StateSpace::enumerate_with`] with enumeration instrumentation
     /// (run/state tallies, per-shard and whole-run timings).  The space
     /// built is byte-identical to the unobserved call.
+    ///
+    /// # Panics
+    /// As [`StateSpace::enumerate`]; [`StateSpace::shared`] returns the
+    /// [`PoolError`] instead.
     pub fn enumerate_observed(
         schema: Schema,
         pools: &BTreeMap<String, Vec<Tuple>>,
@@ -436,29 +579,40 @@ impl StateSpace {
             "schema lacks the null model property (§2.3); \
              the state space would not be a ↓-poset"
         );
-        let detail = schema.enumerate_ldb_observed(pools, config, obs);
-        let n_rels = detail.blocks.len();
-        let mut state_blocks = Vec::with_capacity(detail.states.len() * n_rels);
-        for &combo in &detail.state_combos {
-            let mut rest = combo;
-            for b in &detail.blocks {
-                state_blocks.push((rest % b.len()) as u32);
-                rest /= b.len();
-            }
+        if let Err(e) = check_pools(&schema, pools, config.max_bits) {
+            panic!("{e}");
         }
-        let index = id_index(&detail.states);
-        let states = detail.states;
-        let poset = FinPoset::from_leq(states.len(), |a, b| states[a].is_subinstance(&states[b]));
+        let detail = schema.enumerate_ldb_observed(pools, config, obs);
+        let offsets = pool_offsets(&schema, pools);
+        let masks: Vec<u64> = detail
+            .state_combos
+            .iter()
+            .map(|&combo| {
+                let mut rest = combo;
+                let mut mask = 0;
+                for (b, &off) in detail.blocks.iter().zip(&offsets) {
+                    mask |= place(b[rest % b.len()].submask, off);
+                    rest /= b.len();
+                }
+                mask
+            })
+            .collect();
+        debug_assert!(
+            masks.windows(2).all(|w| w[0] < w[1]),
+            "states ascend by pool bits"
+        );
+        let poset = inclusion_poset(&masks);
+        poset.verify().expect("not a partial order");
         StateSpace {
             schema,
-            states,
-            index,
+            index: id_index(&detail.states),
+            states: detail.states,
             poset,
             inc: Some(IncState {
                 pools: pools.clone(),
                 max_bits: config.max_bits,
                 blocks: detail.blocks,
-                state_blocks,
+                masks,
             }),
             verdicts: Verdicts::default(),
         }
@@ -582,7 +736,7 @@ impl StateSpace {
             });
         }
         let bits: usize = inc.pools.values().map(Vec::len).sum();
-        if bits + 1 > inc.max_bits {
+        if bits + 1 > inc.max_bits.min(MAX_POOL_BITS) {
             return Err(EditError::TooLarge {
                 bits: bits + 1,
                 max_bits: inc.max_bits,
@@ -615,15 +769,21 @@ impl StateSpace {
         let k = self.check_insert(rel, &t)?;
         self.verdicts = Verdicts::default();
         let n_old = self.states.len();
-        let inc = self.inc.take().expect("checked editable");
+        let mut inc = self.inc.take().expect("checked editable");
+        // t takes bit q, the new top bit of relation k's pool; the bits of
+        // the relations after k move up by one.
+        let offsets = pool_offsets(&self.schema, &inc.pools);
+        let q = offsets[k] + inc.pools[rel].len();
         // Blocks gained: exactly the legal subsets of the grown pool that
         // contain t, in ascending submask order, appended after the old
         // blocks (t's bit is the new highest).
         let fresh = self.schema.legal_blocks_seeded(rel, &inc.pools[rel], &t);
         if fresh.is_empty() {
-            // No legal block uses t: only the pool grows; every existing
-            // submask ignores the new bit.
-            let mut inc = inc;
+            // No legal block uses t: only the pool grows, and the states
+            // keep their order.
+            for m in &mut inc.masks {
+                *m = widen(*m, q);
+            }
             inc.pools.get_mut(rel).expect("checked relation").push(t);
             self.inc = Some(inc);
             return Ok(EditReport {
@@ -634,7 +794,6 @@ impl StateSpace {
 
         let decls = self.schema.sig().decls();
         let n_rels = decls.len();
-        let s_k = inc.blocks[k].len();
         // Combo strides around relation k: combo = pre + P·(i_k + S_k·suf).
         let p_stride: usize = inc.blocks[..k].iter().map(Vec::len).product();
         let suf_count: usize = inc.blocks[k + 1..].iter().map(Vec::len).product();
@@ -643,79 +802,71 @@ impl StateSpace {
         let globals = self.schema.global_constraints();
 
         // Assemble-and-filter one candidate new state, exactly as
-        // enumeration does.
-        let assemble = |a: usize, pre: usize, suf: usize| -> Option<(Instance, Vec<u32>)> {
+        // enumeration does, with its pool bits in the grown layout.
+        let assemble = |a: usize, pre: usize, suf: usize| -> Option<(Instance, u64)> {
             let mut inst = Instance::null_model(sig);
-            let mut row = vec![0u32; n_rels];
+            let mut mask = place(fresh[a].submask, offsets[k]);
             let mut rest = pre;
             for r in 0..k {
                 let len = inc.blocks[r].len();
-                let i = rest % len;
+                let b = &inc.blocks[r][rest % len];
                 rest /= len;
-                inst.set(decls[r].name(), inc.blocks[r][i].rel.clone());
-                row[r] = i as u32;
+                inst.set(decls[r].name(), b.rel.clone());
+                mask |= place(b.submask, offsets[r]);
             }
             inst.set(decls[k].name(), fresh[a].rel.clone());
-            row[k] = (s_k + a) as u32;
             let mut rest = suf;
             for r in k + 1..n_rels {
                 let len = inc.blocks[r].len();
-                let i = rest % len;
+                let b = &inc.blocks[r][rest % len];
                 rest /= len;
-                inst.set(decls[r].name(), inc.blocks[r][i].rel.clone());
-                row[r] = i as u32;
+                inst.set(decls[r].name(), b.rel.clone());
+                mask |= place(b.submask, offsets[r] + 1);
             }
             (inst.conforms_to(sig) && globals.iter().all(|c| c.satisfied(&inst, mu)))
-                .then_some((inst, row))
-        };
-        // Suffix-chunk index of an old state (relations after k, in combo
-        // encoding).  Nondecreasing along the old state order.
-        let suf_of = |s: usize| -> usize {
-            let mut suf = 0usize;
-            for r in (k + 1..n_rels).rev() {
-                suf = suf * inc.blocks[r].len() + inc.state_blocks[s * n_rels + r] as usize;
-            }
-            suf
+                .then_some((inst, mask))
         };
 
-        // Splice: per suffix chunk, old states first (combo order puts all
-        // old i_k below all fresh i_k), then new combos with i_k major and
-        // pre minor — matching ascending new-combo order.
+        // Splice: the fresh states come out in ascending (suf, i_k, pre)
+        // order, which is ascending pool bits, and so do the old states
+        // in the grown layout; merge the two runs by their bits.
         let old_states = std::mem::take(&mut self.states);
-        let mut new_states: Vec<Instance> = Vec::with_capacity(n_old);
-        let mut new_state_blocks: Vec<u32> = Vec::with_capacity(n_old * n_rels);
-        let mut origin: Vec<Option<usize>> = Vec::with_capacity(n_old);
-        let mut old_iter = old_states.into_iter().enumerate().peekable();
+        let old_masks = std::mem::take(&mut inc.masks);
+        let mut new_states: Vec<Instance> = Vec::with_capacity(2 * n_old);
+        let mut masks: Vec<u64> = Vec::with_capacity(2 * n_old);
+        let mut pos_of_old = vec![usize::MAX; n_old];
+        let mut fresh_pos: Vec<usize> = Vec::with_capacity(n_old);
+        let mut old_iter = old_states
+            .into_iter()
+            .zip(old_masks.iter().map(|&m| widen(m, q)))
+            .enumerate()
+            .peekable();
+        let mut keep_old_below =
+            |bound: u64, new_states: &mut Vec<Instance>, masks: &mut Vec<u64>| {
+                while let Some((i, (st, m))) = old_iter.next_if(|(_, (_, m))| *m < bound) {
+                    pos_of_old[i] = new_states.len();
+                    new_states.push(st);
+                    masks.push(m);
+                }
+            };
         for suf in 0..suf_count {
-            while old_iter.peek().is_some_and(|&(i, _)| suf_of(i) == suf) {
-                let (i, st) = old_iter.next().expect("peeked");
-                origin.push(Some(i));
-                new_state_blocks.extend_from_slice(&inc.state_blocks[i * n_rels..(i + 1) * n_rels]);
-                new_states.push(st);
-            }
             for a in 0..fresh.len() {
                 for pre in 0..p_stride {
-                    if let Some((inst, row)) = assemble(a, pre, suf) {
-                        origin.push(None);
-                        new_state_blocks.extend(row);
+                    if let Some((inst, mask)) = assemble(a, pre, suf) {
+                        keep_old_below(mask, &mut new_states, &mut masks);
+                        fresh_pos.push(new_states.len());
                         new_states.push(inst);
+                        masks.push(mask);
                     }
                 }
             }
         }
-        debug_assert!(old_iter.next().is_none(), "old states not exhausted");
+        // The rest of the old states: none holds every bit (bit q is clear).
+        keep_old_below(u64::MAX, &mut new_states, &mut masks);
         let n_new = new_states.len();
 
         // Id index: the old index is still sorted after remapping to new
         // positions; sort only the fresh states and merge the two runs.
-        let mut pos_of_old = vec![usize::MAX; n_old];
-        let mut fresh_pos: Vec<usize> = Vec::with_capacity(n_new - n_old);
-        for (j, o) in origin.iter().enumerate() {
-            match o {
-                Some(i) => pos_of_old[*i] = j,
-                None => fresh_pos.push(j),
-            }
-        }
         let old_sorted: Vec<usize> = self.index.iter().map(|&i| pos_of_old[i]).collect();
         fresh_pos.sort_unstable_by(|&a, &b| new_states[a].cmp(&new_states[b]));
         let mut index = Vec::with_capacity(n_new);
@@ -732,28 +883,12 @@ impl StateSpace {
         index.extend_from_slice(&old_sorted[x..]);
         index.extend_from_slice(&fresh_pos[y..]);
 
-        // Poset: copy survivor-survivor bits, compute pairs involving fresh
-        // states by per-relation submask inclusion (valid here — see the
-        // module docs).
-        let submask = |s: usize, r: usize| -> u64 {
-            let bi = new_state_blocks[s * n_rels + r] as usize;
-            if r == k && bi >= s_k {
-                fresh[bi - s_k].submask
-            } else {
-                inc.blocks[r][bi].submask
-            }
-        };
-        let poset = self.poset.patched(&origin, |a, b| {
-            (0..n_rels).all(|r| submask(a, r) & !submask(b, r) == 0)
-        });
-
-        let mut inc = inc;
         inc.blocks[k].extend(fresh);
         inc.pools.get_mut(rel).expect("checked relation").push(t);
-        inc.state_blocks = new_state_blocks;
+        self.poset = inclusion_poset(&masks);
+        inc.masks = masks;
         self.states = new_states;
         self.index = index;
-        self.poset = poset;
         self.inc = Some(inc);
         Ok(EditReport {
             states_before: n_old,
@@ -763,9 +898,9 @@ impl StateSpace {
 
     /// Remove `t` from relation `rel`'s pool and patch the space in place:
     /// drop every block using the tuple's bit, filter the states (no
-    /// instance is rebuilt or re-checked), restrict the poset.  Result is
-    /// byte-identical to a fresh [`StateSpace::enumerate`] on the shrunk
-    /// pools.
+    /// instance is rebuilt or re-checked), and build the poset from the
+    /// survivors' pool bits.  Result is byte-identical to a fresh
+    /// [`StateSpace::enumerate`] on the shrunk pools.
     ///
     /// On error the space is untouched.  Note the current state of a
     /// catalog layered on this space may leave the space — callers who care
@@ -774,71 +909,47 @@ impl StateSpace {
         let (k, p) = self.check_remove(rel, t)?;
         self.verdicts = Verdicts::default();
         let n_old = self.states.len();
-        let inc = self.inc.take().expect("checked editable");
-        let n_rels = self.schema.sig().decls().len();
+        let mut inc = self.inc.take().expect("checked editable");
 
         // Surviving blocks: submask bit p clear; recompact the bits above p.
-        let bit = 1u64 << p;
-        let low = bit - 1;
-        let mut remap = vec![u32::MAX; inc.blocks[k].len()];
-        let mut kept: Vec<LegalBlock> = Vec::new();
-        for (i, b) in inc.blocks[k].iter().enumerate() {
-            if b.submask & bit == 0 {
-                remap[i] = kept.len() as u32;
-                kept.push(LegalBlock {
-                    submask: ((b.submask >> (p + 1)) << p) | (b.submask & low),
-                    rel: b.rel.clone(),
-                });
-            }
-        }
+        let kept: Vec<LegalBlock> = inc.blocks[k]
+            .iter()
+            .filter(|b| b.submask >> p & 1 == 0)
+            .map(|b| LegalBlock {
+                submask: drop_bit(b.submask, p),
+                rel: b.rel.clone(),
+            })
+            .collect();
 
-        // Filter states: a state survives iff its relation-k block does.
-        // Ascending (suf, i_k, pre) order is preserved by a monotone block
-        // remap, so the filtered list is exactly the fresh enumeration.
+        // Filter states: a state survives iff its pool bits miss t's bit
+        // q.  Dropping bit q from the survivors keeps them ascending, so
+        // the filtered list is exactly the fresh enumeration.
+        let q = pool_offsets(&self.schema, &inc.pools)[k] + p;
         let old_states = std::mem::take(&mut self.states);
         let mut new_states: Vec<Instance> = Vec::with_capacity(n_old);
-        let mut new_state_blocks: Vec<u32> = Vec::with_capacity(n_old * n_rels);
-        let mut origin: Vec<Option<usize>> = Vec::with_capacity(n_old);
-        for (i, st) in old_states.into_iter().enumerate() {
-            let bi = inc.state_blocks[i * n_rels + k] as usize;
-            let nb = remap[bi];
-            if nb != u32::MAX {
-                origin.push(Some(i));
-                for r in 0..n_rels {
-                    new_state_blocks.push(if r == k {
-                        nb
-                    } else {
-                        inc.state_blocks[i * n_rels + r]
-                    });
-                }
+        let mut masks: Vec<u64> = Vec::with_capacity(n_old);
+        let mut pos_of_old = vec![usize::MAX; n_old];
+        for (i, (st, &m)) in old_states.into_iter().zip(&inc.masks).enumerate() {
+            if m >> q & 1 == 0 {
+                pos_of_old[i] = new_states.len();
                 new_states.push(st);
+                masks.push(drop_bit(m, q));
             }
         }
         let n_new = new_states.len();
-
-        let mut pos_of_old = vec![usize::MAX; n_old];
-        for (j, o) in origin.iter().enumerate() {
-            pos_of_old[o.expect("pure removal")] = j;
-        }
         let index: Vec<usize> = self
             .index
             .iter()
             .filter(|&&i| pos_of_old[i] != usize::MAX)
             .map(|&i| pos_of_old[i])
             .collect();
-        // Pure removal: every new element is a survivor, so the patch is a
-        // bit remap and leq is never consulted.
-        let poset = self
-            .poset
-            .patched(&origin, |_, _| unreachable!("pure removal never compares"));
 
-        let mut inc = inc;
         inc.blocks[k] = kept;
         inc.pools.get_mut(rel).expect("checked relation").remove(p);
-        inc.state_blocks = new_state_blocks;
+        self.poset = inclusion_poset(&masks);
+        inc.masks = masks;
         self.states = new_states;
         self.index = index;
-        self.poset = poset;
         self.inc = Some(inc);
         Ok(EditReport {
             states_before: n_old,
@@ -991,8 +1102,12 @@ impl StateSpace {
     }
 
     /// Assert this (incrementally edited) space is byte-identical to a
-    /// fresh enumeration of its pools: states, id index, poset bitrows,
-    /// legal blocks, and per-state block assignments.
+    /// fresh enumeration of its pools — states, id index, poset bitrows,
+    /// legal blocks, and per-state pool bits — and that its poset is the
+    /// relation-by-relation inclusion order of its states, decided by
+    /// `is_subinstance` on every pair.  Both spaces build their order
+    /// from pool bits, so the last check is what compares that kernel
+    /// with the definition.
     pub fn validate_against_full(&self) -> Result<(), String> {
         let inc = self
             .inc
@@ -1012,10 +1127,50 @@ impl StateSpace {
         if finc.blocks != inc.blocks {
             return Err("incremental legal-block lists differ from fresh enumeration".to_owned());
         }
-        if finc.state_blocks != inc.state_blocks {
-            return Err("incremental block assignments differ from fresh enumeration".to_owned());
+        if finc.masks != inc.masks {
+            return Err("incremental pool bits differ from fresh enumeration".to_owned());
+        }
+        if self.poset != self.inclusion_oracle() {
+            return Err("poset bitrows differ from the inclusion order of the states".to_owned());
         }
         Ok(())
+    }
+
+    /// The inclusion order of the states by its definition: one
+    /// `is_subinstance` walk per pair.
+    fn inclusion_oracle(&self) -> FinPoset {
+        let states = &self.states;
+        FinPoset::from_leq(states.len(), |a, b| states[a].is_subinstance(&states[b]))
+    }
+
+    /// The state map of the endomorphism that keeps the named relations
+    /// whole and empties every other one — a subschema component's
+    /// `γ_S⊖`, by the decomposition of Lemma 2.3.2(b) — computed on pool
+    /// bits: state `s` goes to the id of the state whose pool bits are
+    /// `s`'s bits of the kept relations, found by binary search in the
+    /// ascending bits.  `Err(s)` names the first state whose image is not
+    /// a state of the space.  A name the schema does not declare keeps
+    /// nothing.
+    ///
+    /// `None` for a space built from explicit states, which has no pool
+    /// bits; [`StateSpace::id_of`] on each image is the way there.
+    pub fn projection(&self, keep: &[String]) -> Option<Result<Vec<usize>, usize>> {
+        let inc = self.inc.as_ref()?;
+        let offsets = pool_offsets(&self.schema, &inc.pools);
+        let mut keep_bits = 0u64;
+        for (d, &off) in self.schema.sig().decls().iter().zip(&offsets) {
+            let len = inc.pools[d.name()].len();
+            if len > 0 && keep.iter().any(|name| name == d.name()) {
+                keep_bits |= place(u64::MAX >> (MAX_POOL_BITS - len), off);
+            }
+        }
+        Some(
+            inc.masks
+                .iter()
+                .enumerate()
+                .map(|(s, &m)| inc.masks.binary_search(&(m & keep_bits)).map_err(|_| s))
+                .collect(),
+        )
     }
 }
 
@@ -1341,6 +1496,94 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "pool of \"R\" repeats a tuple")]
+    fn enumerating_a_pool_that_repeats_a_tuple_panics_with_the_typed_message() {
+        let pools: Pools = [
+            (
+                "R".to_owned(),
+                vec![Tuple::new([v("a1")]), Tuple::new([v("a1")])],
+            ),
+            ("S".to_owned(), Vec::new()),
+        ]
+        .into();
+        StateSpace::enumerate(unary_schema(), &pools);
+    }
+
+    #[test]
+    fn sixty_four_pool_bits_fit_and_a_sixty_fifth_is_refused() {
+        // An FD with an empty left side holds at most one tuple, so 64
+        // pool bits give 65 states.
+        let schema = Schema::new(
+            Signature::new([RelDecl::new("R", ["A"])]),
+            vec![Constraint::Fd(Fd::new("R", vec![], vec![0]))],
+        );
+        let pool: Vec<Tuple> = (0..64).map(|i| Tuple::new([v(&format!("b{i}"))])).collect();
+        let pools: Pools = [("R".to_owned(), pool)].into();
+        let cfg = EnumerationConfig {
+            max_bits: 100,
+            threads: 1,
+        };
+        let mut sp = StateSpace::enumerate_with(schema, &pools, &cfg);
+        assert_eq!(sp.len(), 65);
+        assert_eq!(sp.inc.as_ref().unwrap().masks.last(), Some(&(1 << 63)));
+        assert!(sp.poset() == &sp.inclusion_oracle());
+        assert_eq!(
+            sp.insert_tuple("R", Tuple::new([v("b64")])),
+            Err(EditError::TooLarge {
+                bits: 65,
+                max_bits: 100
+            })
+        );
+        // Removing the top bit's tuple and putting it back round-trips.
+        let top = Tuple::new([v("b63")]);
+        sp.remove_tuple("R", &top).unwrap();
+        sp.insert_tuple("R", top).unwrap();
+        sp.validate_against_full().unwrap();
+    }
+
+    #[test]
+    fn projection_is_the_subschema_state_map() {
+        use crate::{ComponentFamily, SubschemaComponents};
+        let mut sp = two_unary_space();
+        sp.insert_tuple("R", Tuple::new([v("a3")])).unwrap();
+        let family = SubschemaComponents::singletons(sp.schema().sig().clone());
+        for mask in 0..4 {
+            let keep = family.kept_relations(mask).unwrap();
+            let by_endo: Vec<usize> = (0..sp.len())
+                .map(|s| sp.expect_id(&family.endo(mask, sp.state(s))))
+                .collect();
+            assert_eq!(sp.projection(&keep), Some(Ok(by_endo)), "mask {mask:#b}");
+        }
+        // An explicit space has no pool bits to project.
+        let states = vec![Instance::null_model(sp.schema().sig())];
+        let fixed = StateSpace::from_states(sp.schema().clone(), states);
+        assert_eq!(fixed.projection(&["R".to_owned()]), None);
+    }
+
+    #[test]
+    fn projection_names_the_first_state_whose_image_escapes() {
+        // IND S ⊆ R: keeping S and emptying R leaves the space as soon as
+        // S holds a tuple.
+        let mut schema = unary_schema();
+        schema.add_constraint(Constraint::Ind(compview_logic::Ind::new(
+            "S",
+            vec![0],
+            "R",
+            vec![0],
+        )));
+        let pools: Pools = [
+            ("R".to_owned(), vec![Tuple::new([v("a1")])]),
+            ("S".to_owned(), vec![Tuple::new([v("a1")])]),
+        ]
+        .into();
+        let sp = StateSpace::enumerate(schema, &pools);
+        // States: ∅, R={a1}, R=S={a1}; the last one's S-part escapes.
+        assert_eq!(sp.len(), 3);
+        assert_eq!(sp.projection(&["S".to_owned()]), Some(Err(2)));
+        assert_eq!(sp.projection(&["R".to_owned()]), Some(Ok(vec![0, 1, 1])));
+    }
+
+    #[test]
     fn snapshot_round_trips_byte_identically() {
         let mut sp = two_unary_space();
         sp.insert_tuple("R", Tuple::new([v("a3")])).unwrap();
@@ -1443,6 +1686,9 @@ mod tests {
         wide.get_mut("R")
             .unwrap()
             .push(Tuple::new([v("misfit_a"), v("misfit_b")]));
+        let mut repeated = tagged_pools("misfit", 2);
+        let again = repeated["S"][0].clone();
+        repeated.get_mut("S").unwrap().push(again);
         let cases = [
             (missing, 28, PoolError::MissingPool("S".to_owned())),
             (
@@ -1460,6 +1706,22 @@ mod tests {
                 PoolError::TooLarge {
                     bits: 6,
                     max_bits: 5,
+                },
+            ),
+            (
+                repeated,
+                28,
+                PoolError::DuplicateTuple {
+                    relation: "S".to_owned(),
+                },
+            ),
+            // Past the 64 bits of a state's mask, whatever the guard.
+            (
+                tagged_pools("misfit", 33),
+                100,
+                PoolError::TooLarge {
+                    bits: 66,
+                    max_bits: 100,
                 },
             ),
         ];

@@ -95,6 +95,19 @@ impl ComponentFamily for SubschemaComponents {
             })
     }
 
+    /// The relations of the groups in `mask`: `endo` copies exactly those
+    /// and leaves every other relation empty.
+    fn kept_relations(&self, mask: u32) -> Option<Vec<String>> {
+        Some(
+            self.groups
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (mask >> i) & 1 == 1)
+                .flat_map(|(_, group)| group.iter().cloned())
+                .collect(),
+        )
+    }
+
     /// The tag `"subschema"`, then the signature (each relation's name
     /// and attributes, in declaration order) and the groups in atom
     /// order, every list and string length-prefixed.

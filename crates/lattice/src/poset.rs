@@ -6,7 +6,8 @@
 //! elements (database states, view states) are kept by the caller in
 //! parallel vectors.  `LDB(D, μ)` under relation-by-relation inclusion is
 //! the motivating example: `compview-core` enumerates states and builds the
-//! poset with [`FinPoset::from_leq`].
+//! poset's up-rows from each state's pool bits ([`FinPoset::from_up_rows`]);
+//! spaces given as explicit state lists use [`FinPoset::from_leq`].
 //!
 //! The packed layout is what makes large state spaces cheap: rows are built
 //! in parallel shards, and the axioms plus meet/join/cover queries reduce to
@@ -62,15 +63,46 @@ impl FinPoset {
             }
             chunk
         });
+        let p = FinPoset::with_up_rows(n, up);
+        p.verify().expect("not a partial order");
+        p
+    }
+
+    /// Build from packed up-rows computed elsewhere: `up` holds `n` rows
+    /// of `n.div_ceil(64)` words, and bit `b` of row `a` is set iff
+    /// `a ≤ b`.  The down-rows are the transpose.
+    ///
+    /// The axioms are the caller's to vouch for: only debug builds check
+    /// them here, so a caller building from untrusted rows calls
+    /// [`FinPoset::verify`] itself.
+    ///
+    /// # Panics
+    /// Panics if `up` does not hold exactly `n` rows, or if a row has a
+    /// bit set past `n`.
+    pub fn from_up_rows(n: usize, up: Vec<u64>) -> FinPoset {
+        let p = FinPoset::with_up_rows(n, up);
+        debug_assert!(p.verify().is_ok(), "up-rows violate the poset axioms");
+        p
+    }
+
+    /// The poset of the given up-rows and their transpose, unchecked.
+    fn with_up_rows(n: usize, up: Vec<u64>) -> FinPoset {
+        let words = n.div_ceil(64);
+        assert_eq!(up.len(), n * words, "want {n} up-rows of {words} words");
+        if !n.is_multiple_of(64) {
+            let tail = !0u64 << (n % 64);
+            assert!(
+                up.chunks_exact(words).all(|row| row[words - 1] & tail == 0),
+                "an up-row has a bit set past {n}"
+            );
+        }
         let mut down = vec![0u64; n * words];
         for a in 0..n {
             for b in iter_bits(&up[a * words..(a + 1) * words]) {
                 down[b * words + a / 64] |= 1 << (a % 64);
             }
         }
-        let p = FinPoset { n, words, up, down };
-        p.verify().expect("not a partial order");
-        p
+        FinPoset { n, words, up, down }
     }
 
     /// The discrete poset (antichain) on `n` points.
@@ -263,84 +295,6 @@ impl FinPoset {
         FinPoset::from_leq(subset.len(), |a, b| self.leq(subset[a], subset[b]))
     }
 
-    /// Build the poset of an edited element list by patching this poset's
-    /// bitrows instead of recomparing every pair.
-    ///
-    /// `origin[j]` is `Some(i)` when element `j` of the result is element
-    /// `i` of `self` (surviving elements; the `i` must be strictly
-    /// increasing across the `Some`s so relative order is preserved), and
-    /// `None` for fresh elements.  Order bits between two survivors are
-    /// copied from this poset's packed rows (a set-bit remap, no `leq`
-    /// calls); any pair involving a fresh element is computed with `leq`,
-    /// which must agree with this poset on survivor pairs.
-    ///
-    /// This is the incremental-maintenance fast path: for a pure removal
-    /// (`origin` all `Some`) no `leq` call is made at all, and in every case
-    /// the `verify()` pass of [`FinPoset::from_leq`] is skipped (the axioms
-    /// are inherited from `self` plus `leq`'s consistency; debug builds
-    /// still check them).
-    pub fn patched<F>(&self, origin: &[Option<usize>], leq: F) -> FinPoset
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        let n = origin.len();
-        let words = n.div_ceil(64);
-        // Survivors' new positions, indexed by old id.
-        let mut new_pos = vec![usize::MAX; self.n];
-        let mut last: Option<usize> = None;
-        for (j, o) in origin.iter().enumerate() {
-            if let Some(i) = *o {
-                assert!(i < self.n, "origin index out of range");
-                assert!(last.is_none_or(|p| p < i), "origin must be increasing");
-                last = Some(i);
-                new_pos[i] = j;
-            }
-        }
-        let threads = compview_parallel::num_threads();
-        let up = compview_parallel::sharded_collect(n, threads, |range| {
-            let mut chunk = vec![0u64; range.len() * words];
-            for (r, a) in range.clone().enumerate() {
-                let row = &mut chunk[r * words..(r + 1) * words];
-                match origin[a] {
-                    Some(old_a) => {
-                        // Survivor row: remap the old row's set bits to new
-                        // positions, then fill in bits against fresh
-                        // elements only.
-                        for old_b in iter_bits(self.up_row(old_a)) {
-                            let b = new_pos[old_b];
-                            if b != usize::MAX {
-                                row[b / 64] |= 1 << (b % 64);
-                            }
-                        }
-                        for (b, o) in origin.iter().enumerate() {
-                            if o.is_none() && leq(a, b) {
-                                row[b / 64] |= 1 << (b % 64);
-                            }
-                        }
-                    }
-                    None => {
-                        // Fresh row: everything computed.
-                        for b in 0..n {
-                            if leq(a, b) {
-                                row[b / 64] |= 1 << (b % 64);
-                            }
-                        }
-                    }
-                }
-            }
-            chunk
-        });
-        let mut down = vec![0u64; n * words];
-        for a in 0..n {
-            for b in iter_bits(&up[a * words..(a + 1) * words]) {
-                down[b * words + a / 64] |= 1 << (a % 64);
-            }
-        }
-        let p = FinPoset { n, words, up, down };
-        debug_assert!(p.verify().is_ok(), "patched poset violates the axioms");
-        p
-    }
-
     /// Whether `f` (a bijection presented as a vector) is an order
     /// isomorphism onto `other`.
     pub fn is_isomorphism(&self, f: &[usize], other: &FinPoset) -> bool {
@@ -489,80 +443,22 @@ mod tests {
     }
 
     #[test]
-    fn patched_pure_removal_matches_restrict() {
-        // Divisibility order on 1..=97; drop every third element.  A pure
-        // removal never calls leq.
+    fn up_rows_build_the_same_poset_as_leq() {
+        // Divisibility on 1..=97 spans two words per row.
         let p = FinPoset::from_leq(97, |a, b| (b + 1) % (a + 1) == 0);
-        let keep: Vec<usize> = (0..97).filter(|i| i % 3 != 2).collect();
-        let origin: Vec<Option<usize>> = keep.iter().map(|&i| Some(i)).collect();
-        let patched = p.patched(&origin, |_, _| panic!("leq must not be called"));
-        assert!(patched == p.restrict(&keep));
-        assert!(patched.verify().is_ok());
-    }
-
-    #[test]
-    fn patched_with_fresh_elements_matches_from_leq() {
-        // Grow the 2-atom powerset into the 3-atom one: survivors are the
-        // masks without bit 2, fresh elements are the masks with it.
-        let small = FinPoset::powerset(2);
-        let big_leq = |a: usize, b: usize| a & !b == 0;
-        // New element j is mask j under the interleaving ∅,{0},{1},{0,1}
-        // surviving as masks 0..4 and 4..8 fresh.
-        let origin: Vec<Option<usize>> = (0..8).map(|m| (m < 4).then_some(m)).collect();
-        let patched = small.patched(&origin, big_leq);
-        assert!(patched == FinPoset::powerset(3));
-    }
-
-    #[test]
-    fn patched_interleaves_survivors_and_fresh() {
-        // Chain 0<1<2<3 with a fresh element spliced between 1 and 2 and
-        // one removed: old elements {0,1,3} survive at new positions
-        // {0,1,3}, new position 2 is fresh.  Target order: chain on values
-        // 0<1<1.5<3.
-        let c = FinPoset::chain(4);
-        let origin = vec![Some(0), Some(1), None, Some(3)];
-        // Value of new position j:
-        let val = |j: usize| [0.0, 1.0, 1.5, 3.0][j];
-        let patched = c.patched(&origin, |a, b| val(a) <= val(b));
-        assert!(patched == FinPoset::chain(4));
-        assert_eq!(patched.hasse_edges(), vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn patched_agrees_across_thread_counts() {
-        let p = FinPoset::from_leq(97, |a, b| (b + 1) % (a + 1) == 0);
-        let origin: Vec<Option<usize>> = (0..120)
-            .map(|j| (j % 5 != 4).then_some(j * 97 / 120).filter(|&i| i < 97))
+        assert!(FinPoset::from_up_rows(97, p.up.clone()) == p);
+        // The subset order on 3-bit masks, one up-row word per element.
+        let up: Vec<u64> = (0..8u64)
+            .map(|a| (0..8u64).filter(|b| a & !b == 0).map(|b| 1 << b).sum())
             .collect();
-        // De-duplicate / force strictly increasing Some values.
-        let mut seen = usize::MAX;
-        let origin: Vec<Option<usize>> = origin
-            .into_iter()
-            .map(|o| match o {
-                Some(i) if seen == usize::MAX || i > seen => {
-                    seen = i;
-                    Some(i)
-                }
-                _ => None,
-            })
-            .collect();
-        // Fresh elements get fabricated values above the survivors, ordered
-        // among themselves as a chain appended at arbitrary spots; use a
-        // total order on new positions mixing both kinds deterministically.
-        let key = |j: usize| match origin[j] {
-            Some(i) => (0usize, i),
-            None => (1usize, j),
-        };
-        let leq = |a: usize, b: usize| match (origin[a], origin[b]) {
-            (Some(x), Some(y)) => (y + 1) % (x + 1) == 0,
-            _ => key(a) <= key(b),
-        };
-        let reference = FinPoset::from_leq(origin.len(), leq);
-        for t in ["1", "2", "8"] {
-            std::env::set_var("COMPVIEW_THREADS", t);
-            assert!(p.patched(&origin, leq) == reference);
-        }
-        std::env::remove_var("COMPVIEW_THREADS");
+        assert!(FinPoset::from_up_rows(8, up) == FinPoset::powerset(3));
+        assert!(FinPoset::from_up_rows(0, Vec::new()) == FinPoset::antichain(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bit set past 3")]
+    fn up_rows_past_the_last_element_are_refused() {
+        FinPoset::from_up_rows(3, vec![0b1001, 0b010, 0b100]);
     }
 
     #[test]

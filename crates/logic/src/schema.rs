@@ -389,10 +389,10 @@ impl Schema {
     /// order — the per-relation factor of [`Schema::enumerate_ldb_detailed`].
     ///
     /// # Panics
-    /// Panics if `pool` has 64+ tuples (submasks are packed in a `u64`; the
-    /// enumeration guard caps total bits far below this anyway).
+    /// Panics if `pool` has more than 64 tuples (submasks are packed in a
+    /// `u64`; the enumeration guard caps total bits far below this anyway).
     pub fn legal_blocks(&self, name: &str, pool: &[Tuple]) -> Vec<LegalBlock> {
-        assert!(pool.len() < 64, "tuple pool too large for u64 submasks");
+        assert!(pool.len() <= 64, "tuple pool too large for u64 submasks");
         let (prune, complete) = self.local_split(name);
         BlockEnum {
             name,
@@ -419,14 +419,14 @@ impl Schema {
     /// (duplicate-free pools; callers reject duplicates first).
     ///
     /// # Panics
-    /// Panics if the grown pool would have 64+ tuples.
+    /// Panics if the grown pool would have more than 64 tuples.
     pub fn legal_blocks_seeded(
         &self,
         name: &str,
         pool: &[Tuple],
         forced: &Tuple,
     ) -> Vec<LegalBlock> {
-        assert!(pool.len() + 1 < 64, "tuple pool too large for u64 submasks");
+        assert!(pool.len() < 64, "tuple pool too large for u64 submasks");
         let (prune, complete) = self.local_split(name);
         let mut scratch = Instance::null_model(&self.sig);
         scratch.rel_mut(name).insert(forced.clone());

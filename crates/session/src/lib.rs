@@ -25,8 +25,10 @@
 //!   of the space (Thm 2.3.3's characterisation: an arbitrary
 //!   [`ComponentFamily`] implementation is *checked*, not trusted).  Each
 //!   mask is checked once per space, on first use, by building its state
-//!   map, checking it and dropping it; a pool edit re-checks the verified
-//!   masks on the new space.  The shared space records each verdict
+//!   map (projected from pool bits when the family names the relations
+//!   a mask keeps, see [`ComponentFamily::kept_relations`]), checking it
+//!   and dropping it; a pool edit re-checks the verified masks on the
+//!   new space.  The shared space records each verdict
 //!   under the family's fingerprint ([`StateSpace::verdict`]), so the
 //!   sessions of one key check each mask once between them.  Reads and subscription images are the
 //!   family's endomorphism applied to the base (Thm 3.1.1), so the
@@ -117,8 +119,11 @@ pub struct SessionConfig {
     /// (`false` falls back to full re-enumeration on every edit).
     pub incremental: bool,
     /// After every incremental edit, compare the patched space against a
-    /// fresh enumeration; on mismatch, repair by rebuilding.  Expensive —
-    /// meant for soak tests and debugging, not production paths.
+    /// fresh enumeration and its order against `is_subinstance`; on
+    /// mismatch, repair by rebuilding.  Also compare every component map
+    /// projected from pool bits with its `endo` map, which decides on a
+    /// mismatch.  Expensive — meant for soak tests and debugging, not
+    /// production paths.
     pub cross_validate: bool,
     /// Enumeration guard: inserts that would push the raw pool bits past
     /// this are rejected with [`EditError::TooLarge`].
@@ -726,9 +731,10 @@ impl<F: ComponentFamily + Sync> Session<F> {
     ///
     /// # Panics
     /// Panics (from [`Catalog::new`]) if `base` does not decompose
-    /// losslessly along the family, or if the pools do not fit the schema
-    /// (a missing pool, a tuple of the wrong arity, or more pool bits
-    /// than `config.max_bits`).
+    /// losslessly along the family, or, with the [`PoolError`](compview_core::PoolError)'s
+    /// message, if the pools do not fit the schema (a missing pool, a
+    /// tuple of the wrong arity, a pool that repeats a tuple, or more
+    /// pool bits than `config.max_bits` or 64).
     pub fn open(
         family: F,
         schema: Schema,
@@ -1573,7 +1579,7 @@ impl<F: ComponentFamily + Sync> Session<F> {
     /// do not tell the two apart.
     fn check_mask(&self, mask: u32) -> Result<(), SessionError> {
         let family = self.catalog.family();
-        let check = || check_component(family, &self.space, mask);
+        let check = || check_component(family, &self.space, mask, self.config.cross_validate);
         let verdict = match family.fingerprint() {
             Some(fingerprint) => {
                 let (verdict, reused) = self.space.verdict(&fingerprint, mask, check);
@@ -1958,28 +1964,140 @@ fn snapshot_space(schema: Schema, bytes: &[u8], obs: &EnumObs) -> Result<Arc<Sta
 /// Whether `mask`'s endomorphism maps every state of `space` into the
 /// space and is a strong endomorphism of its ↓-poset, or why not.  The
 /// state map is built for the check and dropped.
+///
+/// A family that names the relations the mask keeps whole
+/// ([`ComponentFamily::kept_relations`]) on a space with pool bits gets
+/// its map by projecting those bits ([`StateSpace::projection`]);
+/// every other family and space gets it from one `endo` and one
+/// `id_of` per state.  With `cross_validate` the projected map is
+/// compared with the `endo` one, and on a mismatch the `endo` map
+/// decides.
 fn check_component<F: ComponentFamily + Sync>(
     family: &F,
     space: &StateSpace,
     mask: u32,
+    cross_validate: bool,
 ) -> Verdict {
-    let results: Vec<Result<usize, String>> = compview_parallel::sharded_collect(
-        space.len(),
-        compview_parallel::num_threads(),
-        |range| {
-            range
-                .map(|s| {
-                    let image = family.endo(mask, space.state(s));
-                    space
-                        .id_of(&image)
-                        .ok_or_else(|| format!("endo image of state {s} escapes the space"))
-                })
-                .collect()
-        },
-    );
-    let map = results.into_iter().collect::<Result<Vec<usize>, _>>()?;
+    let projected = family
+        .kept_relations(mask)
+        .and_then(|keep| space.projection(&keep));
+    let map = match projected {
+        Some(map) if cross_validate => {
+            let by_endo = endo_map(family, space, mask);
+            debug_assert_eq!(map, by_endo, "projected map of mask {mask:#b} diverged");
+            by_endo
+        }
+        Some(map) => map,
+        None => endo_map(family, space, mask),
+    }
+    .map_err(|s| format!("endo image of state {s} escapes the space"))?;
     if !endo::is_strong_endo(space.poset(), &map) {
         return Err("endo map is not a strong endomorphism of the ↓-poset".to_owned());
     }
     Ok(())
+}
+
+/// `mask`'s state map on `space` from its definition: state `s` goes to
+/// the id of `family.endo(mask, s)`, or `Err(s)` for the first state
+/// whose image is not in the space.
+fn endo_map<F: ComponentFamily + Sync>(
+    family: &F,
+    space: &StateSpace,
+    mask: u32,
+) -> Result<Vec<usize>, usize> {
+    let results: Vec<Result<usize, usize>> = compview_parallel::sharded_collect(
+        space.len(),
+        compview_parallel::num_threads(),
+        |range| {
+            range
+                .map(|s| space.id_of(&family.endo(mask, space.state(s))).ok_or(s))
+                .collect()
+        },
+    );
+    results.into_iter().collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use compview_core::SubschemaComponents;
+    use compview_logic::{var, Atom, Constraint, Egd, Ind};
+    use compview_relation::{v, RelDecl, Signature};
+
+    /// A subschema family that makes no claim about the relations its
+    /// masks keep, so every check builds its map from `endo`.
+    struct Opaque<'a>(&'a SubschemaComponents);
+
+    impl ComponentFamily for Opaque<'_> {
+        fn n_atoms(&self) -> usize {
+            self.0.n_atoms()
+        }
+        fn relations(&self) -> Vec<String> {
+            self.0.relations()
+        }
+        fn endo(&self, mask: u32, base: &Instance) -> Instance {
+            self.0.endo(mask, base)
+        }
+        fn reconstruct(&self, a: &Instance, b: &Instance) -> Instance {
+            self.0.reconstruct(a, b)
+        }
+        fn is_component_state(&self, mask: u32, part: &Instance) -> bool {
+            self.0.is_component_state(mask, part)
+        }
+    }
+
+    #[test]
+    fn projected_and_endo_checks_give_identical_verdicts() {
+        let sig = Signature::new([
+            RelDecl::new("R", ["A"]),
+            RelDecl::new("S", ["A"]),
+            RelDecl::new("T", ["A"]),
+        ]);
+        let t = |x: &str| Tuple::new([v(x)]);
+        let pools: BTreeMap<String, Vec<Tuple>> = [
+            ("R".to_owned(), vec![t("a"), t("b")]),
+            ("S".to_owned(), vec![t("b"), t("c")]),
+            ("T".to_owned(), vec![t("a")]),
+        ]
+        .into();
+        let unary = |rel: &str, x: u32| Atom::new(rel, vec![var(x)]);
+        let couplings = [
+            vec![],
+            vec![Constraint::Ind(Ind::new("S", vec![0], "R", vec![0]))],
+            vec![Constraint::Egd(Egd::new(
+                "R and T agree",
+                vec![unary("R", 0), unary("T", 1)],
+                (0, 1),
+            ))],
+        ];
+        let groupings = [
+            vec![vec!["R"], vec!["S"], vec!["T"]],
+            vec![vec!["R", "T"], vec!["S"]],
+            vec![vec!["R", "S", "T"]],
+        ];
+        let (mut accepted, mut escaped) = (0, 0);
+        for constraints in couplings {
+            let space = StateSpace::enumerate(Schema::new(sig.clone(), constraints), &pools);
+            for groups in &groupings {
+                let groups = groups
+                    .iter()
+                    .map(|g| g.iter().map(|r| (*r).to_owned()).collect())
+                    .collect();
+                let family = SubschemaComponents::new(sig.clone(), groups);
+                for mask in 0..=family.full_mask() {
+                    let projected = check_component(&family, &space, mask, false);
+                    let by_endo = check_component(&Opaque(&family), &space, mask, false);
+                    let cross = check_component(&family, &space, mask, true);
+                    assert_eq!(projected, by_endo, "mask {mask:#b}");
+                    assert_eq!(cross, by_endo, "mask {mask:#b}");
+                    match projected {
+                        Ok(()) => accepted += 1,
+                        Err(e) if e.contains("escapes the space") => escaped += 1,
+                        Err(e) => panic!("unexpected verdict {e}"),
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0 && escaped > 0, "{accepted} / {escaped}");
+    }
 }

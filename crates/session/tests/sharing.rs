@@ -681,3 +681,67 @@ fn open_dir_reports_a_log_whose_pools_do_not_fit() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Record 0 of a log written for `pools("dupe", 2)`, with the pool of `R`
+/// edited to hold `dupe_r0` twice and its frame's checksum recomputed:
+/// a snapshot that decodes, but whose pools repeat a tuple.
+fn record0_with_a_repeated_tuple() -> Vec<u8> {
+    let (mut leader, _) = open_durable(&pools("dupe", 2), &Registry::disabled());
+    let CatchupPlan::Reset { record0, .. } = leader.replication_catchup(0, 0).unwrap() else {
+        panic!("a fresh follower is offered a reset");
+    };
+    // Frame: payload length, seq, CRC over seq and payload, payload.
+    let mut payload = record0[16..].to_vec();
+    let at: Vec<usize> = (0..payload.len())
+        .filter(|&i| payload[i..].starts_with(b"dupe_r1"))
+        .collect();
+    assert_eq!(at.len(), 1, "the pool names dupe_r1 once");
+    payload[at[0]..at[0] + 7].copy_from_slice(b"dupe_r0");
+    let seq = 0u64.to_le_bytes();
+    let crc = compview_obs::crc32(&[&seq[..], &payload].concat());
+    let len = u32::try_from(payload.len()).unwrap().to_le_bytes();
+    [&len[..], &seq, &crc.to_le_bytes(), &payload].concat()
+}
+
+#[test]
+fn a_snapshot_whose_pool_repeats_a_tuple_is_refused_on_recovery_and_reset() {
+    let record0 = record0_with_a_repeated_tuple();
+    let log = [&compview_session::wal::MAGIC[..], &record0].concat();
+    let recovered = Session::recover(
+        SubschemaComponents::singletons(sig()),
+        Schema::unconstrained(sig()),
+        Box::new(MemStore::from_bytes(log)),
+        SyncPolicy::Always,
+    );
+    assert!(
+        matches!(&recovered, Err(RecoverError::BadSnapshot { detail })
+            if detail == "state space: pool of \"R\" repeats a tuple"),
+        "{:?}",
+        recovered.as_ref().err()
+    );
+
+    let (mut follower, bytes) = open_durable(&pools("dupe_follower", 1), &Registry::disabled());
+    let before = (
+        bytes.lock().unwrap().clone(),
+        follower.space() as *const StateSpace,
+    );
+    let refused = follower.apply_reset(&record0);
+    assert!(
+        matches!(&refused, Err(ApplyError::BadSnapshot { detail })
+            if detail == "state space: pool of \"R\" repeats a tuple"),
+        "{refused:?}"
+    );
+    let after = (
+        bytes.lock().unwrap().clone(),
+        follower.space() as *const StateSpace,
+    );
+    assert_eq!(before, after);
+}
+
+#[test]
+#[should_panic(expected = "pool of \"S\" repeats a tuple")]
+fn opening_on_a_pool_that_repeats_a_tuple_panics_with_the_typed_message() {
+    let mut repeated = pools("dupe_open", 1);
+    repeated.get_mut("S").unwrap().push(t("dupe_open_s0"));
+    open(&repeated);
+}

@@ -6,8 +6,8 @@
 # enabled vs no-op, delta-subscription fan-out + push-vs-poll bytes,
 # replication visibility latency + catch-up throughput, topology
 # fan-out visibility + chained leader egress, distributed-tracing
-# overhead per sampling rate) and
-# collect the vendored harness's machine-readable result lines
+# overhead per sampling rate, the space layer at 1,024 and 4,096
+# states) and collect the vendored harness's machine-readable result lines
 # ("compview-bench: {...}") into the file named by the one argument.
 #
 # Usage: scripts/bench_snapshot.sh OUT.json
@@ -22,7 +22,7 @@ if [ "$#" -ne 1 ] || [ -z "$1" ]; then
 fi
 OUT="$1"
 cd "$(dirname "$0")/.."
-TARGETS=(chase partition_lattice translate_scaling incremental session wal serve sharded obs subs repl fanout trace)
+TARGETS=(chase partition_lattice translate_scaling incremental session wal serve sharded obs subs repl fanout trace space)
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 

@@ -28,6 +28,13 @@ cargo build --release
 echo "==> cargo test --workspace"
 timeout "$suite_limit" cargo test -q --workspace
 
+# Enumerated spaces build their ↓-poset and subschema component maps
+# from pool bits; the oracle test checks both against `is_subinstance`
+# and `endo` + `id_of` at 4,096 states.  Its n² oracle is too slow for a
+# debug build, so the test is ignored there and run here in release.
+echo "==> large-space kernel oracle (release, --ignored)"
+timeout "$suite_limit" cargo test --release -q --test cross_validation -- --ignored
+
 echo "==> cargo test -p compview-session (service + incremental maintenance)"
 timeout "$suite_limit" cargo test -q -p compview-session
 

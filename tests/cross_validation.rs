@@ -6,11 +6,12 @@
 use compview::core::paper::{example_1_3_6, example_2_1_1 as ex};
 use compview::core::{
     strategy, strong, translate, verify_family_with, ComponentAlgebra, ComponentFamily, MatView,
-    PathComponents, Strategy, UpdateSpec,
+    PathComponents, StateSpace, Strategy, SubschemaComponents, UpdateSpec,
 };
-use compview::lattice::FinPoset;
+use compview::lattice::{endo, FinPoset};
 use compview::logic::{
-    chase, chase_naive, var, Atom, ChaseConfig, Constraint, EnumerationConfig, Fd, Schema, Tgd,
+    chase, chase_naive, var, Atom, ChaseConfig, Constraint, Egd, EnumerationConfig, Fd, Ind,
+    Schema, Tgd,
 };
 use compview::relation::{rel, v, Instance, RelDecl, Relation, Signature, Tuple};
 use proptest::prelude::*;
@@ -443,4 +444,196 @@ fn parallel_family_verifier_matches_sequential() {
         assert_eq!(par.checked, clean.checked);
         assert!(par.ok(), "threads = {threads}: {:?}", par.violations);
     }
+}
+
+// ---------------------------------------------------------------------
+// The pool-bit kernels of enumerated spaces against their definitions:
+// the ↓-poset built from pool-bit columns against relation-by-relation
+// `is_subinstance`, and subschema component maps projected from pool
+// bits against `endo` + `id_of` per state.
+
+/// Relation names of the random signatures, in declaration order.
+const NAMES: [&str; 3] = ["R", "S", "T"];
+
+/// Every partition of `names` into groups: each group keeps declaration
+/// order, and groups are ordered by their first member.
+fn groupings(names: &[String]) -> Vec<Vec<Vec<String>>> {
+    let mut out: Vec<Vec<Vec<String>>> = vec![Vec::new()];
+    for name in names {
+        let mut next = Vec::new();
+        for g in &out {
+            for i in 0..=g.len() {
+                let mut h = g.clone();
+                match h.get_mut(i) {
+                    Some(group) => group.push(name.clone()),
+                    None => h.push(vec![name.clone()]),
+                }
+                next.push(h);
+            }
+        }
+        out = next;
+    }
+    out
+}
+
+/// A tuple of relation `i`'s arity over the shared values `v0 … v2`.
+fn spec_tuple(arity: usize, a: u8, b: u8) -> Tuple {
+    let vals = [v(&format!("v{a}")), v(&format!("v{b}"))];
+    Tuple::new(vals[..arity].iter().cloned())
+}
+
+/// A constraint on relations `i` and `j` of a random signature: an FD
+/// (at most one tuple when unary), an IND within or across relations, or
+/// an EGD equating the last columns of `i` and `j`.
+fn spec_constraint(kind: u8, (i, ai): (&str, usize), (j, aj): (&str, usize)) -> Constraint {
+    match kind {
+        0 if ai == 2 => Constraint::Fd(Fd::new(i, vec![0], vec![1])),
+        0 => Constraint::Fd(Fd::new(i, vec![], vec![0])),
+        1 => Constraint::Ind(Ind::new(i, vec![0], j, vec![aj - 1])),
+        2 => {
+            let atom = |rel: &str, arity: usize, first: u32| {
+                Atom::new(rel, (first..first + arity as u32).map(var).collect())
+            };
+            Constraint::Egd(Egd::new(
+                "last columns agree",
+                vec![atom(i, ai, 0), atom(j, aj, 2)],
+                (ai as u32 - 1, 2 + aj as u32 - 1),
+            ))
+        }
+        _ => Constraint::Ind(Ind::new(i, vec![0], j, vec![0])),
+    }
+}
+
+/// Check both kernels of `space` against their definitions: (a) its
+/// poset is the `is_subinstance` order, and (b) for every grouping of
+/// its relations and every mask, the projected state map equals the
+/// `endo` + `id_of` one — the same first escaping state included — so
+/// the verdicts agree too.
+fn assert_kernels_match_oracles(space: &StateSpace) {
+    let states = space.states();
+    let oracle = FinPoset::from_leq(states.len(), |a, b| states[a].is_subinstance(&states[b]));
+    assert!(space.poset() == &oracle, "poset differs from inclusion");
+    let sig = space.schema().sig().clone();
+    let names: Vec<String> = sig.names().map(str::to_owned).collect();
+    for groups in groupings(&names) {
+        let family = SubschemaComponents::new(sig.clone(), groups.clone());
+        for mask in 0..=family.full_mask() {
+            let keep = family.kept_relations(mask).unwrap();
+            let projected = space.projection(&keep).unwrap();
+            let by_endo: Result<Vec<usize>, usize> = (0..space.len())
+                .map(|s| space.id_of(&family.endo(mask, space.state(s))).ok_or(s))
+                .collect();
+            assert_eq!(projected, by_endo, "groups {groups:?}, mask {mask:#b}");
+            if let Ok(map) = &projected {
+                // One map, so one verdict; check it decides at all.
+                let _ = endo::is_strong_endo(space.poset(), map);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random signatures of 1–3 unary or binary relations with pools,
+    /// FDs, INDs and EGDs within and across relations, then a random
+    /// chain of pool edits: after enumeration and after every accepted
+    /// edit, both pool-bit kernels equal their oracles, and the patched
+    /// space equals a fresh enumeration.
+    #[test]
+    fn edit_chains_keep_both_kernels_equal_to_their_oracles(
+        n_rels in 1usize..4,
+        arities in prop::collection::vec(1usize..3, 3..4),
+        seeds in prop::collection::vec(prop::collection::vec((0u8..3, 0u8..3), 0..4), 3..4),
+        cons in prop::collection::vec((0u8..4, 0u8..3, 0u8..3), 0..4),
+        script in prop::collection::vec((0u8..3, 0u8..2, 0u8..3, 0u8..3), 1..8),
+    ) {
+        // At most 8 pool bits, so the n² oracle stays within 256² pairs.
+        const MAX_BITS: usize = 8;
+        let rel = |i: u8| {
+            let i = usize::from(i) % n_rels;
+            (NAMES[i], arities[i])
+        };
+        let sig = Signature::new(
+            (0..n_rels).map(|i| RelDecl::new(NAMES[i], ["A", "B"][..arities[i]].to_vec())),
+        );
+        let constraints = cons
+            .iter()
+            .map(|&(kind, i, j)| spec_constraint(kind, rel(i), rel(j)))
+            .collect();
+        let schema = Schema::new(sig, constraints);
+        let mut pools: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+        let mut bits = 0;
+        for (i, seed) in seeds.iter().enumerate().take(n_rels) {
+            let mut pool: Vec<Tuple> = Vec::new();
+            for &(a, b) in seed {
+                let t = spec_tuple(arities[i], a, b);
+                if bits < MAX_BITS && !pool.contains(&t) {
+                    pool.push(t);
+                    bits += 1;
+                }
+            }
+            pools.insert(NAMES[i].to_owned(), pool);
+        }
+        let mut space = StateSpace::enumerate(schema.clone(), &pools);
+        assert_kernels_match_oracles(&space);
+        for &(r, op, a, b) in &script {
+            let (name, arity) = rel(r);
+            let t = spec_tuple(arity, a, b);
+            let edited = if op == 0 {
+                let bits: usize = space.pools().unwrap().values().map(Vec::len).sum();
+                (bits < MAX_BITS).then(|| space.insert_tuple(name, t)).map(|r| r.is_ok())
+            } else {
+                Some(space.remove_tuple(name, &t).is_ok())
+            };
+            if edited == Some(true) {
+                assert_kernels_match_oracles(&space);
+                let fresh = StateSpace::enumerate(schema.clone(), space.pools().unwrap());
+                prop_assert_eq!(fresh.states(), space.states());
+                prop_assert!(fresh.poset() == space.poset());
+            }
+        }
+    }
+}
+
+/// Both kernels against their oracles at 4,096 states, on perfbench's
+/// `R(A)/S(B)` shape: a fresh enumeration, and a patch from 2,048 states
+/// up to 4,096 and back.  The n² `is_subinstance` oracle is too slow for
+/// a debug build; run it with
+/// `cargo test --release --test cross_validation -- --ignored`.
+#[test]
+#[ignore = "n² subinstance oracle at 4,096 states; run in release"]
+fn large_space_kernels_match_their_oracles() {
+    let sig = Signature::new([RelDecl::new("R", ["A"]), RelDecl::new("S", ["B"])]);
+    let pool = |rel: &str, n: usize| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| Tuple::new([v(&format!("{rel}{i}"))]))
+            .collect()
+    };
+    let schema = Schema::unconstrained(sig);
+    let small: BTreeMap<String, Vec<Tuple>> = [
+        ("R".to_owned(), pool("r", 5)),
+        ("S".to_owned(), pool("s", 6)),
+    ]
+    .into();
+    let big: BTreeMap<String, Vec<Tuple>> = [
+        ("R".to_owned(), pool("r", 6)),
+        ("S".to_owned(), pool("s", 6)),
+    ]
+    .into();
+
+    let fresh = StateSpace::enumerate(schema.clone(), &big);
+    assert_eq!(fresh.len(), 4096);
+    assert_kernels_match_oracles(&fresh);
+
+    let mut space = StateSpace::enumerate(schema, &small);
+    assert_eq!(space.len(), 2048);
+    let t = big["R"][5].clone();
+    space.insert_tuple("R", t.clone()).unwrap();
+    assert_eq!(space.states(), fresh.states());
+    assert!(space.poset() == fresh.poset());
+    assert_kernels_match_oracles(&space);
+    space.remove_tuple("R", &t).unwrap();
+    assert_eq!(space.len(), 2048);
+    assert_kernels_match_oracles(&space);
 }
